@@ -53,8 +53,10 @@ main(int argc, char **argv)
 {
     std::string json_path;
     std::string filter;
+    unsigned jobs = 0;
     ArgSpec("fig13_access_control")
         .json(&json_path)
+        .jobs(&jobs)
         .protection(&filter)
         .parse(argc, argv);
 
@@ -164,7 +166,7 @@ main(int argc, char **argv)
                 [id, &s](SweepContext &) { return s.run(id); });
         }
     }
-    SweepRunner runner;
+    SweepRunner runner(SweepOptions{jobs});
     const auto measured = runner.map<RunResult>(grid);
     auto get = [&](std::size_t model_idx,
                    std::size_t variant) -> const RunResult & {

@@ -85,9 +85,9 @@ class RunSweep
     }
 
     void
-    runAll()
+    runAll(unsigned threads)
     {
-        SweepRunner runner;
+        SweepRunner runner(SweepOptions{threads});
         results = runner.map<Tick>(jobs);
     }
 
@@ -114,8 +114,10 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
+    unsigned jobs = 0;
     ArgSpec("fig15_partition_vs_id")
         .json(&json_path)
+        .jobs(&jobs)
         .protection(&g_protection)
         .parse(argc, argv);
     if (!g_protection.empty() &&
@@ -176,7 +178,7 @@ main(int argc, char **argv)
         }
         pair_plans.push_back(plan);
     }
-    sweep.runAll();
+    sweep.runAll(jobs);
 
     for (std::size_t g = 0; g < pair_plans.size(); ++g) {
         const auto &[sec_id, norm_id] = groups[g];

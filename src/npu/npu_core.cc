@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "sim/logging.hh"
 
@@ -106,38 +105,35 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
     // Gather up to `channels` consecutive loads, never extending
     // past a tile/layer boundary index (flush points must fire in
     // order, so a boundary instruction ends its batch).
-    const std::uint32_t limit = params.dma.channels;
-    std::vector<const Instr *> group;
+    const std::size_t limit = params.dma.channels;
     std::size_t end = pc;
-    while (end < program.code.size() && group.size() < limit) {
+    while (end < program.code.size() && end - pc < limit) {
         const Opcode op = program.code[end].op;
         if (op != Opcode::mvin && op != Opcode::mvin_weight)
             break;
-        group.push_back(&program.code[end]);
-        if (end == batch_stop) {
-            ++end;
+        if (end++ == batch_stop)
             break;
-        }
-        ++end;
     }
-    if (group.empty())
+    const std::size_t count = end - pc;
+    if (count == 0)
         return 0;
 
-    std::vector<DmaRequest> reqs;
-    std::vector<std::vector<std::uint8_t>> storage(
-        params.timing_only ? 0 : group.size());
-    std::vector<std::vector<std::uint8_t> *> buffers;
-    reqs.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        const Instr &in = *group[i];
-        DmaRequest req{in.vaddr, in.rows * params.spad_row_bytes,
-                       MemOp::read, world};
-        reqs.push_back(req);
-        buffers.push_back(params.timing_only ? nullptr : &storage[i]);
-        instructions += i > 0 ? 1 : 0; // first counted by caller
+    load_reqs.clear();
+    load_buf_ptrs.clear();
+    if (load_bufs.size() < count)
+        load_bufs.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const Instr &in = program.code[pc + i];
+        load_reqs.push_back(DmaRequest{
+            in.vaddr, in.rows * params.spad_row_bytes, MemOp::read,
+            world});
+        load_buf_ptrs.push_back(params.timing_only ? nullptr
+                                                   : &load_bufs[i]);
     }
+    instructions += static_cast<double>(count - 1); // first by caller
 
-    DmaResult dres = dma_engine->transferBatch(dma_t, reqs, buffers);
+    DmaResult dres =
+        dma_engine->transferBatch(dma_t, load_reqs, load_buf_ptrs);
     if (!dres.ok) {
         if (dres.fault) {
             fail(res, "mvin DMA transfer faulted (injected)",
@@ -149,25 +145,18 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
         return 0;
     }
 
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        const Instr &in = *group[i];
-        for (std::uint32_t r = 0; r < in.rows; ++r) {
-            const std::uint8_t *src =
-                params.timing_only
-                    ? nullptr
-                    : storage[i].data() +
-                          static_cast<std::size_t>(r) *
-                              params.spad_row_bytes;
-            if (spad->write(world, in.spad_row + r, src) !=
-                SpadStatus::ok) {
-                fail(res, "mvin scratchpad write denied",
-                     StatusCode::privilege_denied);
-                return 0;
-            }
+    for (std::size_t i = 0; i < count; ++i) {
+        const Instr &in = program.code[pc + i];
+        const std::uint8_t *src =
+            params.timing_only ? nullptr : load_bufs[i].data();
+        if (!spad->write(world, in.spad_row, in.rows, src).ok()) {
+            fail(res, "mvin scratchpad write denied",
+                 StatusCode::privilege_denied);
+            return 0;
         }
     }
     dma_t = dres.done;
-    return group.size();
+    return count;
 }
 
 bool
@@ -178,47 +167,38 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
     // before outstanding computes finish.
     Tick t = std::max(dma_t, mac_t);
 
-    const std::uint32_t dim = systolic.dim();
-    std::vector<std::uint8_t> out;
-    std::vector<std::uint8_t> *buf_ptr = nullptr;
-    std::vector<std::uint8_t> acc_row(params.acc_row_bytes);
-
-    if (!params.timing_only) {
-        out.resize(static_cast<std::size_t>(in.rows) *
-                   params.spad_row_bytes);
-        buf_ptr = &out;
-    }
-
-    for (std::uint32_t r = 0; r < in.rows; ++r) {
-        SpadStatus st = acc->read(
-            world, in.spad_row + r,
-            params.timing_only ? nullptr : acc_row.data());
-        if (st != SpadStatus::ok) {
-            fail(res, "mvout accumulator read denied",
-                 StatusCode::privilege_denied);
-            return false;
-        }
-        if (params.timing_only)
-            continue;
-        // Activation + requantization: int32 -> int8 with an 8-bit
-        // right shift and saturation (Gemmini-style output scaling).
-        const auto *acc32 =
-            reinterpret_cast<const std::int32_t *>(acc_row.data());
-        auto *row_out =
-            reinterpret_cast<std::int8_t *>(
-                out.data() +
-                static_cast<std::size_t>(r) * params.spad_row_bytes);
-        for (std::uint32_t c = 0; c < dim; ++c) {
-            std::int32_t v = acc32[c];
-            if (activation == Activation::relu && v < 0)
-                v = 0;
-            v >>= 8;
-            v = std::clamp(v, -128, 127);
-            row_out[c] = static_cast<std::int8_t>(v);
-        }
+    if (!acc->read(world, in.spad_row, in.rows, nullptr).ok()) {
+        fail(res, "mvout accumulator read denied",
+             StatusCode::privilege_denied);
+        return false;
     }
 
     const std::uint32_t bytes = in.rows * params.spad_row_bytes;
+    std::vector<std::uint8_t> *buf_ptr = nullptr;
+    if (!params.timing_only) {
+        // Activation + requantization: int32 -> int8 with an 8-bit
+        // right shift and saturation (Gemmini-style output scaling),
+        // read from the accumulator rows in place.
+        const std::uint32_t dim = systolic.dim();
+        store_buf.assign(bytes, 0);
+        buf_ptr = &store_buf;
+        for (std::uint32_t r = 0; r < in.rows; ++r) {
+            const std::uint8_t *acc_row = acc->rawRow(in.spad_row + r);
+            std::uint8_t *row_out =
+                store_buf.data() +
+                static_cast<std::size_t>(r) * params.spad_row_bytes;
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                std::int32_t v;
+                std::memcpy(&v, acc_row + c * sizeof(v), sizeof(v));
+                if (activation == Activation::relu && v < 0)
+                    v = 0;
+                v >>= 8;
+                v = std::clamp(v, -128, 127);
+                row_out[c] = static_cast<std::uint8_t>(v);
+            }
+        }
+    }
+
     DmaRequest req{in.vaddr, bytes, MemOp::write, world};
     DmaResult dres = dma_engine->transfer(t, req, buf_ptr);
     if (!dres.ok) {
@@ -240,26 +220,18 @@ bool
 NpuCore::execPreload(const Instr &in, ExecResult &res)
 {
     const std::uint32_t dim = systolic.dim();
-    std::vector<std::int8_t> tile;
-    if (!params.timing_only)
-        tile.resize(static_cast<std::size_t>(dim) * dim);
-
-    std::vector<std::uint8_t> row(params.spad_row_bytes);
-    for (std::uint32_t r = 0; r < dim; ++r) {
-        SpadStatus st = spad->read(
-            world, in.spad_row + r,
-            params.timing_only ? nullptr : row.data());
-        if (st != SpadStatus::ok) {
-            fail(res, "preload scratchpad read denied",
-                 StatusCode::privilege_denied);
-            return false;
-        }
-        if (!params.timing_only) {
-            std::memcpy(tile.data() + static_cast<std::size_t>(r) * dim,
-                        row.data(), dim);
-        }
+    if (!spad->read(world, in.spad_row, dim, nullptr).ok()) {
+        fail(res, "preload scratchpad read denied",
+             StatusCode::privilege_denied);
+        return false;
     }
-    systolic.preload(params.timing_only ? nullptr : tile.data());
+    if (params.timing_only) {
+        systolic.preload(nullptr);
+    } else {
+        systolic.preload(
+            reinterpret_cast<const std::int8_t *>(spad->rawRow(in.spad_row)),
+            params.spad_row_bytes);
+    }
     return true;
 }
 
@@ -270,41 +242,49 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
     const std::uint32_t dim = systolic.dim();
     const std::uint32_t k = in.k ? in.k : dim;
 
-    std::vector<std::uint8_t> a_row(params.spad_row_bytes);
-    std::vector<std::uint8_t> acc_row(params.acc_row_bytes);
+    // Each step reads activation rows, reads the accumulator rows
+    // when accumulating, and writes them back, as three range
+    // accesses. A multi-row step covers only the rows all three
+    // admit, so none stops early; a refused row then goes through
+    // alone, which leaves its effects in the per-row order
+    // (activation read, accumulator read, accumulator write). An
+    // armed injector probes every row read, and the accumulator's
+    // probes must interleave with the scratchpad's (spad r, acc r,
+    // spad r+1, ...), so an accumulating compute then steps one row
+    // at a time.
+    const std::uint32_t step = faults && in.accumulate ? 1 : in.rows;
+    for (std::uint32_t r = 0; r < in.rows;) {
+        const std::uint32_t a_first = in.spad_row + r;
+        const std::uint32_t c_first = in.spad_row2 + r;
+        std::uint32_t n = std::min(step, in.rows - r);
+        if (n > 1) {
+            n = spad->admits(world, a_first, n, SpadOp::read);
+            if (in.accumulate)
+                n = acc->admits(world, c_first, n, SpadOp::read);
+            n = std::max(acc->admits(world, c_first, n, SpadOp::write),
+                         1u);
+        }
 
-    for (std::uint32_t r = 0; r < in.rows; ++r) {
-        SpadStatus st = spad->read(
-            world, in.spad_row + r,
-            params.timing_only ? nullptr : a_row.data());
-        if (st != SpadStatus::ok) {
-            fail(res, "compute activation read denied",
+        // An injected ID mismatch can stop the activation read
+        // early; the rows before it still complete.
+        const SpadAccess a_in = spad->read(world, a_first, n, nullptr);
+        const SpadAccess c_in =
+            in.accumulate ? acc->read(world, c_first, a_in.rows, nullptr)
+                          : SpadAccess{SpadStatus::ok, a_in.rows};
+        const SpadAccess c_out =
+            acc->write(world, c_first, c_in.rows, nullptr);
+        if (!params.timing_only)
+            computeInPlace(in, r, c_out.rows, k);
+
+        if (!a_in.ok() || !c_in.ok() || !c_out.ok()) {
+            fail(res,
+                 !a_in.ok()   ? "compute activation read denied"
+                 : !c_in.ok() ? "compute accumulator read denied"
+                              : "compute accumulator write denied",
                  StatusCode::privilege_denied);
             return false;
         }
-        const std::uint32_t acc_idx = in.spad_row2 + r;
-        if (in.accumulate) {
-            st = acc->read(world, acc_idx,
-                           params.timing_only ? nullptr : acc_row.data());
-            if (st != SpadStatus::ok) {
-                fail(res, "compute accumulator read denied",
-                     StatusCode::privilege_denied);
-                return false;
-            }
-        }
-        if (!params.timing_only) {
-            systolic.computeRow(
-                reinterpret_cast<const std::int8_t *>(a_row.data()), k,
-                reinterpret_cast<std::int32_t *>(acc_row.data()),
-                in.accumulate);
-        }
-        st = acc->write(world, acc_idx,
-                        params.timing_only ? nullptr : acc_row.data());
-        if (st != SpadStatus::ok) {
-            fail(res, "compute accumulator write denied",
-                 StatusCode::privilege_denied);
-            return false;
-        }
+        r += n;
     }
 
     const Tick start = std::max(mac_t, dma_ready);
@@ -313,6 +293,29 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
     res.mac_busy += busy;
     res.macs += static_cast<std::uint64_t>(in.rows) * k * dim;
     return true;
+}
+
+void
+NpuCore::computeInPlace(const Instr &in, std::uint32_t r,
+                        std::uint32_t rows, std::uint32_t k)
+{
+    if (rows == 0)
+        return;
+    const std::size_t a_stride = params.spad_row_bytes;
+    const std::size_t c_stride = params.acc_row_bytes;
+    // Past the int32 partial sums an overwriting compute leaves the
+    // row's tail zeroed, as a freshly formed output row.
+    const std::size_t sums = systolic.dim() * sizeof(std::int32_t);
+    const std::uint8_t *a_row = spad->rawRow(in.spad_row + r);
+    std::uint8_t *c_row = acc->rawRow(in.spad_row2 + r);
+    for (std::uint32_t i = 0; i < rows;
+         ++i, a_row += a_stride, c_row += c_stride) {
+        systolic.computeRow(reinterpret_cast<const std::int8_t *>(a_row),
+                            k, reinterpret_cast<std::int32_t *>(c_row),
+                            in.accumulate);
+        if (!in.accumulate && c_stride > sums)
+            std::memset(c_row + sums, 0, c_stride - sums);
+    }
 }
 
 bool

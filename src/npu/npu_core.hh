@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dma/dma_engine.hh"
 #include "mem/mem_system.hh"
@@ -166,6 +167,10 @@ class NpuCore
     bool execPreload(const Instr &in, ExecResult &res);
     bool execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
                      ExecResult &res);
+    /** The functional GEMM of @p rows rows of @p in, from row
+     *  offset @p r, on the scratchpad and accumulator rows. */
+    void computeInPlace(const Instr &in, std::uint32_t r,
+                        std::uint32_t rows, std::uint32_t k);
     bool execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
                      ExecResult &res);
     void fail(ExecResult &res, const std::string &why,
@@ -192,6 +197,13 @@ class NpuCore
     NocFabric *noc_fabric = nullptr;
     SoftwareNoc *software_noc = nullptr;
     FaultInjector *faults = nullptr;
+
+    /** Staging buffers reused across instructions: one per DMA
+     *  channel for loads, one for the requantized store. */
+    std::vector<std::vector<std::uint8_t>> load_bufs;
+    std::vector<std::vector<std::uint8_t> *> load_buf_ptrs;
+    std::vector<DmaRequest> load_reqs;
+    std::vector<std::uint8_t> store_buf;
 
     Activation activation = Activation::none;
     Tracer tracer;

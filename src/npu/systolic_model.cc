@@ -85,12 +85,16 @@ SystolicArray::SystolicArray(SystolicParams params)
 }
 
 void
-SystolicArray::preload(const std::int8_t *w)
+SystolicArray::preload(const std::int8_t *w, std::size_t row_stride)
 {
-    if (w) {
+    const std::size_t dim = params.dim;
+    if (!w) {
+        std::memset(weights.data(), 0, weights.size());
+    } else if (row_stride == 0 || row_stride == dim) {
         std::memcpy(weights.data(), w, weights.size());
     } else {
-        std::memset(weights.data(), 0, weights.size());
+        for (std::size_t r = 0; r < dim; ++r)
+            std::memcpy(weights.data() + r * dim, w + r * row_stride, dim);
     }
 }
 

@@ -55,9 +55,11 @@ class SystolicArray
 
     /**
      * Functionally preload weights from a row-major int8 buffer of
-     * dim*dim elements (may be null in timing-only mode).
+     * dim rows of dim elements, @p row_stride bytes apart (0: dense),
+     * so scratchpad rows wider than the array load in place. Null
+     * (timing-only mode) zeroes the weights.
      */
-    void preload(const std::int8_t *weights);
+    void preload(const std::int8_t *weights, std::size_t row_stride = 0);
 
     /**
      * Functionally compute one activation row (dim int8 values, the

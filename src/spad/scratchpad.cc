@@ -37,144 +37,135 @@ Scratchpad::attachTrace(TraceSink *sink, const std::string &who)
 }
 
 bool
-Scratchpad::partitionAllows(World w, std::uint32_t row) const
+Scratchpad::probeRead(std::uint32_t row)
 {
-    // Secure world owns [0, boundary); normal world the rest.
-    if (w == World::secure)
-        return row < params.partition_boundary;
-    return row >= params.partition_boundary;
+    if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
+        // The wordline's ID bit misreads, so the comparator denies
+        // the access regardless of the real owner.
+        tracer.emit(0, TraceCategory::fault, trace_name,
+                    "injected ID mismatch: read of row ", row,
+                    " denied");
+        return true;
+    }
+    if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
+        // Flip the low bit of the row's first byte in place: the
+        // corruption persists and is silent to the reader.
+        data[static_cast<std::size_t>(row) * params.row_bytes] ^= 1;
+        ++corrupted;
+        tracer.emit(0, TraceCategory::fault, trace_name,
+                    "injected bit flip in row ", row);
+    }
+    return false;
 }
 
-SpadStatus
-Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
+void
+Scratchpad::deny(SpadOp op, std::uint32_t row)
 {
-    if (row >= params.rows)
-        return SpadStatus::bad_index;
-    ++reads;
+    const char *verb = op == SpadOp::read ? "read of " : "write of ";
+    ++denied;
+    if (params.mode == IsolationMode::partition) {
+        tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
+                    row, " denied: partition boundary");
+    } else if (params.scope == SpadScope::local) {
+        tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
+                    row, " denied: wordline ID mismatch");
+    } else {
+        tracer.emit(0, TraceCategory::spad, trace_name, verb,
+                    "secure row ", row, " denied to normal world");
+    }
+}
 
-    if (faults) {
-        if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
-            // The wordline's ID bit misreads, so the comparator
-            // denies the access regardless of the real owner.
-            ++denied;
-            tracer.emit(0, TraceCategory::fault, trace_name,
-                        "injected ID mismatch: read of row ", row,
-                        " denied");
-            return SpadStatus::security_violation;
-        }
-        if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
-            // Flip the low bit of the row's first byte in place:
-            // the corruption persists and is silent to the reader.
-            data[static_cast<std::size_t>(row) * params.row_bytes] ^= 1;
-            ++corrupted;
-            tracer.emit(0, TraceCategory::fault, trace_name,
-                        "injected bit flip in row ", row);
+SpadAccess
+Scratchpad::read(World reader, std::uint32_t first, std::uint32_t count,
+                 std::uint8_t *dst)
+{
+    const std::uint32_t in_bounds = inBounds(first, count);
+    std::uint32_t stop = admits(reader, first, count, SpadOp::read);
+
+    // An armed injector probes every row the read reaches, the
+    // refused stop row included, in row order; an injected ID
+    // mismatch becomes the new stop row.
+    bool injected = false;
+    if (faults && in_bounds > 0) {
+        const std::uint32_t reached = std::min(stop, in_bounds - 1) + 1;
+        for (std::uint32_t i = 0; i < reached; ++i) {
+            if (probeRead(first + i)) {
+                stop = i;
+                injected = true;
+                break;
+            }
         }
     }
 
-    switch (params.mode) {
-      case IsolationMode::none:
-        break;
-      case IsolationMode::partition:
-        if (!partitionAllows(reader, row)) {
-            ++denied;
-            tracer.emit(0, TraceCategory::spad, trace_name,
-                        "read of row ", row,
-                        " denied: partition boundary");
-            return SpadStatus::security_violation;
-        }
-        break;
-      case IsolationMode::id_based:
-        if (params.scope == SpadScope::local) {
-            // Local rule: read requires ID match.
-            if (id_state[row] != reader) {
-                ++denied;
-                tracer.emit(0, TraceCategory::spad, trace_name,
-                            "read of row ", row,
-                            " denied: wordline ID mismatch");
-                return SpadStatus::security_violation;
-            }
-        } else {
-            // Global rule: non-secure may not touch secure lines;
-            // a secure read claims the line.
-            if (id_state[row] == World::secure &&
-                reader != World::secure) {
-                ++denied;
-                tracer.emit(0, TraceCategory::spad, trace_name,
-                            "read of secure row ", row,
-                            " denied to normal world");
-                return SpadStatus::security_violation;
-            }
-            if (reader == World::secure &&
-                id_state[row] != World::secure) {
+    // The admitted rows, in bulk.
+    reads += stop;
+    if (params.mode == IsolationMode::id_based &&
+        params.scope == SpadScope::global && reader == World::secure) {
+        // Global rule: a secure read claims each line it reads.
+        for (std::uint32_t row = first; row < first + stop; ++row) {
+            if (id_state[row] != World::secure) {
                 id_state[row] = World::secure;
                 ++id_flips;
-                recordWrite(row); // secure read claims the line
+                recordWrites(row, 1);
             }
         }
-        break;
     }
-
-    if (dst) {
+    if (dst && stop > 0) {
         std::memcpy(dst,
                     data.data() +
-                        static_cast<std::size_t>(row) * params.row_bytes,
-                    params.row_bytes);
+                        static_cast<std::size_t>(first) * params.row_bytes,
+                    static_cast<std::size_t>(stop) * params.row_bytes);
     }
-    return SpadStatus::ok;
+
+    // The stop row's own effects.
+    if (stop == count)
+        return {SpadStatus::ok, count};
+    if (stop == in_bounds && !injected)
+        return {SpadStatus::bad_index, stop};
+    ++reads;
+    if (injected)
+        ++denied;
+    else
+        deny(SpadOp::read, first + stop);
+    return {SpadStatus::security_violation, stop};
 }
 
-SpadStatus
-Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
+SpadAccess
+Scratchpad::write(World writer, std::uint32_t first, std::uint32_t count,
+                  const std::uint8_t *src)
 {
-    if (row >= params.rows)
-        return SpadStatus::bad_index;
-    ++writes;
+    const std::uint32_t in_bounds = inBounds(first, count);
+    const std::uint32_t stop = admits(writer, first, count, SpadOp::write);
 
-    switch (params.mode) {
-      case IsolationMode::none:
-        break;
-      case IsolationMode::partition:
-        if (!partitionAllows(writer, row)) {
-            ++denied;
-            tracer.emit(0, TraceCategory::spad, trace_name,
-                        "write of row ", row,
-                        " denied: partition boundary");
-            return SpadStatus::security_violation;
+    // The admitted rows, in bulk.
+    writes += stop;
+    if (params.mode == IsolationMode::id_based && stop > 0) {
+        // Every admitted row ends up holding the writer's ID: the
+        // local forced write flips it, and under the global rule a
+        // normal writer only reaches lines that are already normal.
+        World *ids = id_state.data() + first;
+        std::uint32_t flips = 0;
+        for (std::uint32_t i = 0; i < stop; ++i) {
+            flips += ids[i] != writer;
+            ids[i] = writer;
         }
-        break;
-      case IsolationMode::id_based:
-        if (params.scope == SpadScope::local) {
-            // Local rule: forced write — always allowed, flips ID.
-            if (id_state[row] != writer) {
-                id_state[row] = writer;
-                ++id_flips;
-            }
-        } else {
-            if (id_state[row] == World::secure &&
-                writer != World::secure) {
-                ++denied;
-                tracer.emit(0, TraceCategory::spad, trace_name,
-                            "write of secure row ", row,
-                            " denied to normal world");
-                return SpadStatus::security_violation;
-            }
-            if (writer == World::secure &&
-                id_state[row] != World::secure) {
-                id_state[row] = World::secure;
-                ++id_flips;
-            }
-        }
-        break;
+        id_flips += flips;
     }
-
-    recordWrite(row);
-    if (src) {
+    recordWrites(first, stop);
+    if (src && stop > 0) {
         std::memcpy(data.data() +
-                        static_cast<std::size_t>(row) * params.row_bytes,
-                    src, params.row_bytes);
+                        static_cast<std::size_t>(first) * params.row_bytes,
+                    src, static_cast<std::size_t>(stop) * params.row_bytes);
     }
-    return SpadStatus::ok;
+
+    // The stop row's own effects.
+    if (stop == count)
+        return {SpadStatus::ok, count};
+    if (stop == in_bounds)
+        return {SpadStatus::bad_index, stop};
+    ++writes;
+    deny(SpadOp::write, first + stop);
+    return {SpadStatus::security_violation, stop};
 }
 
 bool
@@ -193,18 +184,16 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
     tracer.emit(0, TraceCategory::spad, trace_name,
                 "secure reset: scrubbed rows [", first, ", ",
                 first + count, ")");
-    for (std::uint32_t row = first; row < first + count; ++row) {
-        recordWrite(row);
-        if (id_state[row] == World::secure) {
-            id_state[row] = World::normal;
-            ++id_flips;
-        }
-        // Resetting also scrubs the payload: the secret must not
-        // survive the ownership change.
-        std::memset(data.data() +
-                        static_cast<std::size_t>(row) * params.row_bytes,
-                    0, params.row_bytes);
-    }
+    World *ids = id_state.data() + first;
+    id_flips += static_cast<double>(std::count(ids, ids + count,
+                                               World::secure));
+    std::fill(ids, ids + count, World::normal);
+    recordWrites(first, count);
+    // Resetting also scrubs the payload: the secret must not survive
+    // the ownership change.
+    std::memset(data.data() +
+                    static_cast<std::size_t>(first) * params.row_bytes,
+                0, static_cast<std::size_t>(count) * params.row_bytes);
     return true;
 }
 
@@ -251,12 +240,13 @@ Scratchpad::rawRow(std::uint32_t row) const
 }
 
 void
-Scratchpad::rawSetId(std::uint32_t row, World w)
+Scratchpad::rawSetIds(std::uint32_t first, std::uint32_t count, World w)
 {
-    if (row >= params.rows)
-        panic("rawSetId: row out of range");
-    id_state[row] = w;
-    recordWrite(row);
+    if (inBounds(first, count) != count)
+        panic("rawSetIds: rows out of range");
+    std::fill(id_state.begin() + first, id_state.begin() + first + count,
+              w);
+    recordWrites(first, count);
 }
 
 void

@@ -22,7 +22,9 @@
 #ifndef SNPU_SPAD_SCRATCHPAD_HH
 #define SNPU_SPAD_SCRATCHPAD_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,28 @@ enum class SpadStatus : std::uint8_t
     bad_index,
 };
 
+/** The direction of a scratchpad access. */
+enum class SpadOp : std::uint8_t
+{
+    read,
+    write,
+};
+
+/**
+ * Outcome of a row-range access: ok with every row applied, or the
+ * status of the first refused row (the stop row) with the number of
+ * rows applied before it.
+ */
+struct SpadAccess
+{
+    SpadStatus status = SpadStatus::ok;
+    /** Rows applied: the whole range when ok, else the stop row's
+     *  offset from the first row. */
+    std::uint32_t rows = 0;
+
+    bool ok() const { return status == SpadStatus::ok; }
+};
+
 /** Scratchpad geometry. */
 struct SpadParams
 {
@@ -83,12 +107,45 @@ class Scratchpad
   public:
     Scratchpad(stats::Group &stats, SpadParams params = {});
 
+    /**
+     * Read rows [first, first+count) into @p dst (count * row_bytes
+     * long, may be null), in row order, stopping at the first
+     * refused row. The rows before the stop row take effect in bulk;
+     * the stop row has exactly the effects a lone access to it has
+     * (a denial counts as a read and a denial, an out-of-range row
+     * as nothing). With an injector armed every row up to and
+     * including the stop row is probed, in row order.
+     */
+    SpadAccess read(World reader, std::uint32_t first,
+                    std::uint32_t count, std::uint8_t *dst);
+
+    /** Write rows [first, first+count) from @p src (may be null),
+     *  with read()'s stop-row rule. Writes are never probed. */
+    SpadAccess write(World writer, std::uint32_t first,
+                     std::uint32_t count, const std::uint8_t *src);
+
     /** Read one row into @p dst (row_bytes long, may be null). */
-    SpadStatus read(World reader, std::uint32_t row, std::uint8_t *dst);
+    SpadStatus read(World reader, std::uint32_t row, std::uint8_t *dst)
+    {
+        return read(reader, row, 1, dst).status;
+    }
 
     /** Write one row from @p src (row_bytes long, may be null). */
     SpadStatus write(World writer, std::uint32_t row,
-                     const std::uint8_t *src);
+                     const std::uint8_t *src)
+    {
+        return write(writer, row, 1, src).status;
+    }
+
+    /**
+     * Leading rows of [first, first+count) that bounds and the
+     * isolation rules admit for an access by @p who, ignoring
+     * injected faults. This is where the §IV-B rules live; callers
+     * that issue several ranges per instruction use it to find the
+     * row where the first of them stops.
+     */
+    std::uint32_t admits(World who, std::uint32_t first,
+                         std::uint32_t count, SpadOp op) const;
 
     /**
      * Secure instruction: reset rows [first, first+count) from secure
@@ -119,12 +176,15 @@ class Scratchpad
     }
 
     /**
-     * Raw, check-free access for the flush engine and loaders that
-     * operate with hardware privilege.
+     * Raw, check-free access for the flush engine, loaders that
+     * operate with hardware privilege, and compute that works on
+     * rows in place after an admitted access. Rows are contiguous:
+     * row r + i starts row_bytes * i past rawRow(r).
      */
     std::uint8_t *rawRow(std::uint32_t row);
     const std::uint8_t *rawRow(std::uint32_t row) const;
-    void rawSetId(std::uint32_t row, World w);
+    /** Set the ID of rows [first, first+count) to @p w (recorded). */
+    void rawSetIds(std::uint32_t first, std::uint32_t count, World w);
 
     /** The whole per-row ID image (layer-timing cache key input). */
     const std::vector<World> &idImage() const { return id_state; }
@@ -177,12 +237,25 @@ class Scratchpad
     void attachTrace(TraceSink *sink, const std::string &who);
 
   private:
-    bool partitionAllows(World w, std::uint32_t row) const;
-    void recordWrite(std::uint32_t row)
+    /** Rows of [first, first+count) inside the scratchpad. */
+    std::uint32_t inBounds(std::uint32_t first, std::uint32_t count) const
     {
-        if (recording && !write_mark[row]) {
-            write_mark[row] = 1;
-            written_rows.push_back(row);
+        return first < params.rows ? std::min(count, params.rows - first)
+                                   : 0;
+    }
+    /** Probe the read sites for @p row; true on an injected ID
+     *  mismatch (a bit flip corrupts the row and returns false). */
+    bool probeRead(std::uint32_t row);
+    void deny(SpadOp op, std::uint32_t row);
+    void recordWrites(std::uint32_t first, std::uint32_t count)
+    {
+        if (!recording)
+            return;
+        for (std::uint32_t row = first; row < first + count; ++row) {
+            if (!write_mark[row]) {
+                write_mark[row] = 1;
+                written_rows.push_back(row);
+            }
         }
     }
 
@@ -202,6 +275,65 @@ class Scratchpad
     stats::Scalar id_flips;
     stats::Scalar corrupted;
 };
+
+namespace spad_detail
+{
+
+/** Offset of the first ID in [ids, ids+n) that is not @p w. */
+inline std::uint32_t
+firstNot(const World *ids, std::uint32_t n, World w)
+{
+    // IDs are bytes: compare eight at a time, then finish bytewise.
+    const std::uint64_t lanes =
+        0x0101010101010101ULL * static_cast<std::uint8_t>(w);
+    std::uint32_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, ids + i, sizeof(word));
+        if (word != lanes)
+            break;
+    }
+    while (i < n && ids[i] == w)
+        ++i;
+    return i;
+}
+
+} // namespace spad_detail
+
+// Inline: every access runs it, most of them on one row.
+inline std::uint32_t
+Scratchpad::admits(World who, std::uint32_t first, std::uint32_t count,
+                   SpadOp op) const
+{
+    const std::uint32_t n = inBounds(first, count);
+    if (n == 0)
+        return 0;
+    switch (params.mode) {
+      case IsolationMode::none:
+        return n;
+      case IsolationMode::partition: {
+        // Secure world owns [0, boundary); normal world the rest.
+        const std::uint32_t boundary = params.partition_boundary;
+        if (who == World::secure)
+            return first < boundary ? std::min(n, boundary - first) : 0;
+        return first >= boundary ? n : 0;
+      }
+      case IsolationMode::id_based: {
+        const World *ids = id_state.data() + first;
+        if (params.scope == SpadScope::local) {
+            // Local rule: a read requires an ID match; a write is a
+            // forced write, always allowed.
+            return op == SpadOp::write ? n
+                                       : spad_detail::firstNot(ids, n, who);
+        }
+        // Global rule: the normal world may not touch a secure line.
+        return who == World::secure
+                   ? n
+                   : spad_detail::firstNot(ids, n, World::normal);
+      }
+    }
+    return n;
+}
 
 } // namespace snpu
 

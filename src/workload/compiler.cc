@@ -121,14 +121,54 @@ TilingCompiler::plan(const LayerSpec &layer) const
     return *best;
 }
 
+std::size_t
+TilingCompiler::codeSize(const LayerSpec &layer, const LayerPlan &p,
+                         bool skip_a, bool skip_c) const
+{
+    const std::size_t fence = p.double_buffered ? 0 : 1;
+    // One weight load per N tile: a request per burst of each
+    // segment, plus a fence per segment when single buffered.
+    std::size_t w_load = 0;
+    for (std::uint32_t kt0 = 0; kt0 < p.k_tiles; kt0 += p.w_seg_tiles) {
+        const std::uint32_t seg_rows =
+            std::min(p.w_seg_tiles, p.k_tiles - kt0) * cfg.dim;
+        w_load += ceilDiv(seg_rows, cfg.max_request_rows) + fence;
+    }
+    // Per N tile: a preload and a compute per K tile, and the store.
+    const std::size_t per_n_tile = 2 * std::size_t{p.k_tiles} +
+                                   (skip_c ? 0 : 1);
+
+    std::size_t n = 1; // config
+    for (std::uint32_t mc = 0; mc < p.m_chunks; ++mc) {
+        const std::uint32_t rows = std::min(p.tm, layer.m - mc * p.tm);
+        if (!skip_a) {
+            n += std::size_t{p.k_tiles} *
+                 ceilDiv(rows, cfg.max_request_rows);
+        }
+        n += fence;
+        n += std::size_t{p.n_tiles} * per_n_tile;
+        // Resident weights load once, in the first chunk.
+        if (!p.weights_resident || mc == 0)
+            n += std::size_t{p.n_tiles} * w_load;
+    }
+    return n;
+}
+
 void
 TilingCompiler::compileLayer(const LayerSpec &layer,
                              const LayerBuffers &bufs,
                              NpuProgram &program, bool skip_a,
                              bool skip_c) const
 {
+    emitLayer(layer, plan(layer), bufs, program, skip_a, skip_c);
+}
+
+void
+TilingCompiler::emitLayer(const LayerSpec &layer, const LayerPlan &p,
+                          const LayerBuffers &bufs, NpuProgram &program,
+                          bool skip_a, bool skip_c) const
+{
     const std::uint32_t dim = cfg.dim;
-    const LayerPlan p = plan(layer);
 
     // Scratchpad row layout for this layer (relative to the task's
     // partition base):
@@ -289,6 +329,28 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
     NpuProgram program;
     Addr cursor = va_base;
 
+    // Plan every layer first so the code is allocated once, at its
+    // exact size.
+    auto skipA = [&](std::size_t i) {
+        return opts.skip_first_a_load && i == 0;
+    };
+    auto skipC = [&](std::size_t i) {
+        return opts.skip_last_c_store && i + 1 == model.layers.size();
+    };
+    std::vector<LayerPlan> plans;
+    plans.reserve(model.layers.size());
+    std::size_t code_size = 0;
+    std::size_t tiles = 0;
+    for (std::size_t i = 0; i < model.layers.size(); ++i) {
+        plans.push_back(plan(model.layers[i]));
+        const LayerPlan &p = plans.back();
+        code_size += codeSize(model.layers[i], p, skipA(i), skipC(i));
+        tiles += std::size_t{p.m_chunks} * p.n_tiles;
+    }
+    program.code.reserve(code_size);
+    program.tile_ends.reserve(tiles);
+    program.layer_ends.reserve(model.layers.size());
+
     // Buffer layout: [input0][weights0][out0][weights1][out1]...
     // Layer i reads the previous layer's output buffer.
     auto advance = [&](Addr bytes) {
@@ -324,10 +386,7 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
         bufs.c_base = advance(c_bytes);
         prev_out = bufs.c_base;
 
-        const bool skip_a = opts.skip_first_a_load && i == 0;
-        const bool skip_c =
-            opts.skip_last_c_store && i + 1 == model.layers.size();
-        compileLayer(layer, bufs, program, skip_a, skip_c);
+        emitLayer(layer, plans[i], bufs, program, skipA(i), skipC(i));
     }
 
     if (va_bytes)

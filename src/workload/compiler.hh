@@ -25,6 +25,7 @@
 #ifndef SNPU_WORKLOAD_COMPILER_HH
 #define SNPU_WORKLOAD_COMPILER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +119,13 @@ class TilingCompiler
                       bool skip_c = false) const;
 
     /**
+     * Exact number of instructions compileLayer() emits for
+     * @p layer under plan @p p (compileModel reserves with it).
+     */
+    std::size_t codeSize(const LayerSpec &layer, const LayerPlan &p,
+                         bool skip_a = false, bool skip_c = false) const;
+
+    /**
      * Compile a whole model. Virtual buffers are laid out
      * sequentially from @p va_base; layer i's input is layer i-1's
      * output buffer.
@@ -130,6 +138,10 @@ class TilingCompiler
     const CompilerParams &params() const { return cfg; }
 
   private:
+    void emitLayer(const LayerSpec &layer, const LayerPlan &p,
+                   const LayerBuffers &bufs, NpuProgram &program,
+                   bool skip_a, bool skip_c) const;
+
     CompilerParams cfg;
 };
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <vector>
 
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "spad/scratchpad.hh"
@@ -268,12 +271,311 @@ TEST_P(SpadIsolationProperty, NormalNeverReadsSecureBytes)
     }
 }
 
+// Printed explicitly: gtest would otherwise print the parameter's
+// bytes, uninitialised padding included, and ctest names each case
+// after that printout.
+void
+PrintTo(const SpadPropertyParam &p, std::ostream *os)
+{
+    *os << (p.scope == SpadScope::local ? "local" : "global") << "_seed"
+        << p.seed;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ScopesAndSeeds, SpadIsolationProperty,
     ::testing::Values(SpadPropertyParam{SpadScope::local, 1},
                       SpadPropertyParam{SpadScope::local, 99},
                       SpadPropertyParam{SpadScope::global, 1},
                       SpadPropertyParam{SpadScope::global, 77}));
+
+/**
+ * Reference model for range access: the scratchpad as one call per
+ * row, with the §IV-B rules and fault probes checked inline, driven
+ * by the per-row caller loop that stops at the first failing row.
+ */
+class RowModel
+{
+  public:
+    RowModel(SpadParams params, FaultInjector *faults)
+        : p(params),
+          data(static_cast<std::size_t>(p.rows) * p.row_bytes, 0),
+          ids(p.rows, World::normal), faults(faults)
+    {
+    }
+
+    SpadAccess read(World w, std::uint32_t first, std::uint32_t count,
+                    std::uint8_t *dst)
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const SpadStatus st = readRow(
+                w, first + i, dst ? dst + i * p.row_bytes : nullptr);
+            if (st != SpadStatus::ok)
+                return {st, i};
+        }
+        return {SpadStatus::ok, count};
+    }
+
+    SpadAccess write(World w, std::uint32_t first, std::uint32_t count,
+                     const std::uint8_t *src)
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            const SpadStatus st = writeRow(
+                w, first + i, src ? src + i * p.row_bytes : nullptr);
+            if (st != SpadStatus::ok)
+                return {st, i};
+        }
+        return {SpadStatus::ok, count};
+    }
+
+    /** The recorded rows as compacted (first, count, ID) ranges. */
+    std::vector<Scratchpad::WrittenRange> writtenRanges() const
+    {
+        std::vector<Scratchpad::WrittenRange> out;
+        for (const std::uint32_t row : written) {
+            if (!out.empty() &&
+                out.back().first + out.back().count == row &&
+                out.back().world == ids[row]) {
+                ++out.back().count;
+            } else {
+                out.push_back({row, 1, ids[row]});
+            }
+        }
+        return out;
+    }
+
+    SpadParams p;
+    std::vector<std::uint8_t> data;
+    std::vector<World> ids;
+    FaultInjector *faults;
+    std::set<std::uint32_t> written;
+    double reads = 0, writes = 0, denied = 0, flips = 0, corrupted = 0;
+
+  private:
+    bool allows(World w, std::uint32_t row) const
+    {
+        return w == World::secure ? row < p.partition_boundary
+                                  : row >= p.partition_boundary;
+    }
+
+    void claim(std::uint32_t row, World w)
+    {
+        if (ids[row] != w) {
+            ids[row] = w;
+            ++flips;
+        }
+    }
+
+    SpadStatus readRow(World w, std::uint32_t row, std::uint8_t *dst)
+    {
+        if (row >= p.rows)
+            return SpadStatus::bad_index;
+        ++reads;
+        if (faults) {
+            if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
+                ++denied;
+                return SpadStatus::security_violation;
+            }
+            if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
+                data[static_cast<std::size_t>(row) * p.row_bytes] ^= 1;
+                ++corrupted;
+            }
+        }
+        if (p.mode == IsolationMode::partition && !allows(w, row)) {
+            ++denied;
+            return SpadStatus::security_violation;
+        }
+        if (p.mode == IsolationMode::id_based) {
+            if (p.scope == SpadScope::local ? ids[row] != w
+                                            : ids[row] == World::secure &&
+                                                  w != World::secure) {
+                ++denied;
+                return SpadStatus::security_violation;
+            }
+            if (p.scope == SpadScope::global && w == World::secure &&
+                ids[row] != World::secure) {
+                claim(row, World::secure);
+                written.insert(row);
+            }
+        }
+        if (dst) {
+            std::memcpy(dst, &data[static_cast<std::size_t>(row) *
+                                   p.row_bytes],
+                        p.row_bytes);
+        }
+        return SpadStatus::ok;
+    }
+
+    SpadStatus writeRow(World w, std::uint32_t row,
+                        const std::uint8_t *src)
+    {
+        if (row >= p.rows)
+            return SpadStatus::bad_index;
+        ++writes;
+        if (p.mode == IsolationMode::partition && !allows(w, row)) {
+            ++denied;
+            return SpadStatus::security_violation;
+        }
+        if (p.mode == IsolationMode::id_based) {
+            if (p.scope == SpadScope::global &&
+                ids[row] == World::secure && w != World::secure) {
+                ++denied;
+                return SpadStatus::security_violation;
+            }
+            if (p.scope == SpadScope::local || w == World::secure)
+                claim(row, w);
+        }
+        written.insert(row);
+        if (src) {
+            std::memcpy(&data[static_cast<std::size_t>(row) *
+                              p.row_bytes],
+                        src, p.row_bytes);
+        }
+        return SpadStatus::ok;
+    }
+};
+
+double
+statValue(const stats::Group &g, const char *name)
+{
+    const auto *s = dynamic_cast<const stats::Scalar *>(g.find(name));
+    return s ? s->value() : -1;
+}
+
+/** One differential case: a mode, a scope, and faults on or off. */
+struct RangeCase
+{
+    IsolationMode mode;
+    SpadScope scope;
+    bool faults;
+};
+
+class SpadRangeVsRows : public ::testing::TestWithParam<RangeCase>
+{
+};
+
+TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
+{
+    const RangeCase c = GetParam();
+    SpadParams params = smallSpad(c.scope, c.mode);
+    if (c.mode == IsolationMode::partition)
+        params.partition_boundary = 24;
+
+    // Both sides get an injector with the same plan: probability
+    // specs on both read sites, unlimited fires.
+    FaultPlan plan;
+    plan.seed = 0x5eed;
+    plan.faults = {
+        {FaultSite::spad_id_mismatch, FaultTrigger::probability, 1, 0,
+         0, 0.03, 0},
+        {FaultSite::spad_bit_flip, FaultTrigger::probability, 1, 0, 0,
+         0.05, 0},
+    };
+    FaultInjector range_inj(plan), row_inj(plan);
+
+    stats::Group stats("g");
+    Scratchpad spad(stats, params);
+    RowModel model(params, c.faults ? &row_inj : nullptr);
+    if (c.faults)
+        spad.armFaults(&range_inj);
+    spad.beginWriteRecord();
+
+    const std::uint32_t rb = params.row_bytes;
+    Rng rng(7 + static_cast<std::uint64_t>(c.mode) * 10 +
+            static_cast<std::uint64_t>(c.scope) * 100 + c.faults);
+    for (int op = 0; op < 3000; ++op) {
+        const World w = rng.chance(0.5) ? World::secure : World::normal;
+        // Ranges start anywhere up to past the end and may run off it.
+        const auto first = static_cast<std::uint32_t>(rng.below(72));
+        const auto count = static_cast<std::uint32_t>(rng.below(24));
+        const bool with_buf = rng.chance(0.8);
+        SpadAccess got, want;
+        if (rng.chance(0.5)) {
+            std::vector<std::uint8_t> src(std::size_t{count} * rb);
+            for (auto &b : src)
+                b = static_cast<std::uint8_t>(rng.below(256));
+            got = spad.write(w, first, count,
+                             with_buf ? src.data() : nullptr);
+            want = model.write(w, first, count,
+                               with_buf ? src.data() : nullptr);
+        } else {
+            std::vector<std::uint8_t> a(std::size_t{count} * rb, 0xee);
+            std::vector<std::uint8_t> b(a);
+            got = spad.read(w, first, count, with_buf ? a.data() : nullptr);
+            want = model.read(w, first, count,
+                              with_buf ? b.data() : nullptr);
+            EXPECT_EQ(a, b) << "op " << op;
+        }
+        ASSERT_EQ(got.status, want.status) << "op " << op;
+        ASSERT_EQ(got.rows, want.rows) << "op " << op;
+        ASSERT_EQ(spad.idImage(), model.ids) << "op " << op;
+    }
+
+    for (std::uint32_t r = 0; r < params.rows; ++r) {
+        EXPECT_EQ(std::memcmp(spad.rawRow(r),
+                              &model.data[std::size_t{r} * rb], rb),
+                  0)
+            << "row " << r;
+    }
+    std::vector<Scratchpad::WrittenRange> recorded;
+    spad.endWriteRecord(recorded);
+    const auto expected = model.writtenRanges();
+    ASSERT_EQ(recorded.size(), expected.size());
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+        EXPECT_EQ(recorded[i].first, expected[i].first);
+        EXPECT_EQ(recorded[i].count, expected[i].count);
+        EXPECT_EQ(recorded[i].world, expected[i].world);
+    }
+
+    EXPECT_EQ(statValue(stats, "spad_reads"), model.reads);
+    EXPECT_EQ(statValue(stats, "spad_writes"), model.writes);
+    EXPECT_EQ(statValue(stats, "spad_denied"), model.denied);
+    EXPECT_EQ(statValue(stats, "spad_id_flips"), model.flips);
+    EXPECT_EQ(statValue(stats, "spad_corruptions"), model.corrupted);
+
+    ASSERT_EQ(range_inj.fired().size(), row_inj.fired().size());
+    for (std::size_t i = 0; i < row_inj.fired().size(); ++i) {
+        EXPECT_EQ(range_inj.fired()[i].site, row_inj.fired()[i].site);
+        EXPECT_EQ(range_inj.fired()[i].occurrence,
+                  row_inj.fired()[i].occurrence);
+    }
+    for (FaultSite site :
+         {FaultSite::spad_id_mismatch, FaultSite::spad_bit_flip}) {
+        EXPECT_EQ(range_inj.occurrences(site), row_inj.occurrences(site));
+    }
+    if (c.faults) {
+        // The plan must actually have fired on both sites.
+        EXPECT_GT(model.corrupted, 0);
+        EXPECT_GT(range_inj.occurrences(FaultSite::spad_id_mismatch), 0u);
+    }
+}
+
+std::vector<RangeCase>
+allRangeCases()
+{
+    std::vector<RangeCase> out;
+    for (IsolationMode mode : {IsolationMode::none,
+                               IsolationMode::partition,
+                               IsolationMode::id_based}) {
+        for (SpadScope scope : {SpadScope::local, SpadScope::global}) {
+            for (bool faults : {false, true})
+                out.push_back({mode, scope, faults});
+        }
+    }
+    return out;
+}
+
+void
+PrintTo(const RangeCase &c, std::ostream *os)
+{
+    *os << (c.mode == IsolationMode::none        ? "none"
+            : c.mode == IsolationMode::partition ? "partition"
+                                                 : "id_based")
+        << (c.scope == SpadScope::local ? "_local" : "_global")
+        << (c.faults ? "_faults" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(ModesScopesFaults, SpadRangeVsRows,
+                         ::testing::ValuesIn(allRangeCases()));
 
 } // namespace
 } // namespace snpu

@@ -201,6 +201,47 @@ TEST(Compiler, SpadUsageNeverExceedsBudget)
     }
 }
 
+TEST(Compiler, ReservedCodeSizeIsExact)
+{
+    // compileModel allocates the code once from codeSize(); a short
+    // count would regrow the vector, a long one would waste memory.
+    for (ModelId id : allModels()) {
+        const ModelSpec model = makeModel(id).scaled(8);
+        for (std::uint32_t rows : {16384u, 4096u}) {
+            for (bool skip : {false, true}) {
+                CompilerParams cp;
+                cp.spad_rows = rows;
+                TilingCompiler compiler(cp);
+                CompileOptions opts;
+                opts.skip_first_a_load = skip;
+                opts.skip_last_c_store = skip;
+                const NpuProgram prog = compiler.compileModel(
+                    model, 0x1000'0000, nullptr, opts);
+                EXPECT_EQ(prog.code.capacity(), prog.code.size())
+                    << modelName(id) << " rows=" << rows
+                    << " skip=" << skip;
+
+                std::size_t expected = 0;
+                for (std::size_t i = 0; i < model.layers.size(); ++i) {
+                    const LayerSpec &layer = model.layers[i];
+                    const bool skip_a = skip && i == 0;
+                    const bool skip_c =
+                        skip && i + 1 == model.layers.size();
+                    NpuProgram one;
+                    compiler.compileLayer(layer, LayerBuffers{}, one,
+                                          skip_a, skip_c);
+                    const std::size_t n = compiler.codeSize(
+                        layer, compiler.plan(layer), skip_a, skip_c);
+                    EXPECT_EQ(n, one.code.size())
+                        << modelName(id) << " layer " << layer.name;
+                    expected += n;
+                }
+                EXPECT_EQ(prog.code.size(), expected) << modelName(id);
+            }
+        }
+    }
+}
+
 TEST(Mapping, BalancedStagesCoverModel)
 {
     const ModelSpec model = makeModel(ModelId::resnet);
