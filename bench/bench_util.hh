@@ -7,10 +7,13 @@
 #ifndef SNPU_BENCH_BENCH_UTIL_HH
 #define SNPU_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,7 +27,9 @@ namespace snpu::bench
  * identically everywhere — then calls parse(). An argument matching
  * no declared key prints the supported list to stderr and exits 2,
  * uniformly, instead of the previous mix of silently-ignored and
- * per-bench ad-hoc scanning. A bench that fronts another parser
+ * per-bench ad-hoc scanning. A number that is not plain decimal
+ * digits in range for its option exits 2 the same way. A bench that
+ * fronts another parser
  * (simspeed forwards to google-benchmark) enables passthrough(),
  * which collects unmatched arguments for forwarding instead of
  * rejecting them.
@@ -151,16 +156,42 @@ class ArgSpec
                 continue;
             }
             const char *v = arg + n + 1;
-            if (o.str_out)
+            if (o.str_out) {
                 *o.str_out = v;
-            else if (o.uint_out)
-                *o.uint_out = static_cast<unsigned>(
-                    std::strtoul(v, nullptr, 10));
-            else if (o.u64_out)
-                *o.u64_out = std::strtoull(v, nullptr, 10);
+                return true;
+            }
+            std::uint64_t num = 0;
+            const std::uint64_t max =
+                o.uint_out ? std::numeric_limits<unsigned>::max()
+                           : std::numeric_limits<std::uint64_t>::max();
+            if (!parseNumber(v, max, num)) {
+                std::fprintf(stderr, "%s: malformed number in '%s'\n",
+                             bench_.c_str(), arg);
+                usage();
+                std::exit(2);
+            }
+            if (o.uint_out)
+                *o.uint_out = static_cast<unsigned>(num);
+            else
+                *o.u64_out = num;
             return true;
         }
         return false;
+    }
+
+    /** Decimal digits only (no sign, no space), at most @p max. */
+    static bool
+    parseNumber(const char *v, std::uint64_t max, std::uint64_t &out)
+    {
+        if (!std::isdigit(static_cast<unsigned char>(*v)))
+            return false;
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long n = std::strtoull(v, &end, 10);
+        if (*end != '\0' || errno == ERANGE || n > max)
+            return false;
+        out = n;
+        return true;
     }
 
     void

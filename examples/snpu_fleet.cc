@@ -53,27 +53,21 @@
 
 using namespace snpu;
 
-int
-main(int argc, char **argv)
+namespace
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
-    }
 
-    const auto socs =
-        static_cast<std::uint32_t>(cfg.getInt("socs", 8));
-    const auto ncores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 2));
-    const auto requests =
-        static_cast<std::uint32_t>(cfg.getInt("requests", 8));
+/** Run the fleet; every key is read before the run. */
+int
+run(const Config &cfg)
+{
+    cfg.requireKnown({"socs", "cores", "requests", "load", "kill",
+                      "mfail", "failover", "decode", "secure", "attest",
+                      "scale", "seed", "stats", "stats_json",
+                      "soc_stats"});
+
+    const std::uint32_t socs = cfg.getUint("socs", 8);
+    const std::uint32_t ncores = cfg.getUint("cores", 2);
+    const std::uint32_t requests = cfg.getUint("requests", 8);
     const double load = cfg.getDouble("load", 0.4);
     const double kill = cfg.getDouble("kill", 0.002);
     const double mfail = cfg.getDouble("mfail", 0.08);
@@ -81,10 +75,12 @@ main(int argc, char **argv)
     const bool decode = cfg.getBool("decode", true);
     const bool secure = cfg.getBool("secure", true);
     const bool attest = cfg.getBool("attest", false);
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 256));
+    const std::uint32_t scale = cfg.getUint("scale", 256);
     const auto seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    const bool soc_stats = cfg.getBool("soc_stats", false);
+    const bool dump_stats = cfg.getBool("stats", false);
+    const std::string stats_json = cfg.getString("stats_json", "");
     if (socs == 0) {
         std::fprintf(stderr, "socs= must be positive\n");
         return 2;
@@ -161,7 +157,7 @@ main(int argc, char **argv)
     fc.breaker_cooldown = static_cast<Tick>(2.0 * service);
     fc.latency_hist_max = 64.0 * service;
     fc.latency_hist_buckets = 2048;
-    fc.capture_soc_stats = cfg.getBool("soc_stats", false);
+    fc.capture_soc_stats = soc_stats;
 
     std::printf("fleet: %u SoCs x %u tiles, load=%.2f, "
                 "kill=%.4f/heartbeat, mfail=%.2f, failover=%s, "
@@ -224,12 +220,11 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(res.ttft_p99),
         static_cast<unsigned long long>(res.makespan));
 
-    if (cfg.getBool("stats", false)) {
+    if (dump_stats) {
         std::ostringstream os;
         fleet.fleetStats().group.dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {
@@ -241,4 +236,23 @@ main(int argc, char **argv)
         std::printf("stats: %s\n", stats_json.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input (a malformed pair, an unknown key or value) is a
+    // usage error: exit 2, never abort.
+    try {
+        Config cfg;
+        for (int i = 1; i < argc; ++i)
+            cfg.parseArg(argv[i]);
+        return run(cfg);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        std::fprintf(stderr, "see the header comment for usage\n");
+        return 2;
+    }
 }

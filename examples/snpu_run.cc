@@ -48,20 +48,26 @@
 
 using namespace snpu;
 
-int
-main(int argc, char **argv)
+namespace
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
+
+/** Run the configuration; every key is read before the run. */
+int
+run(const Config &cfg)
+{
+    // The access_control= alias completed its deprecation cycle
+    // (DESIGN.md §3f): reject it with the migration hint instead of
+    // silently ignoring a key that used to select the backend.
+    if (!cfg.getString("access_control", "").empty()) {
+        std::fprintf(stderr, "snpu_run: access_control= was removed; "
+                             "use protection=\n");
+        return 2;
     }
+    cfg.requireKnown({"model", "system", "protection", "world", "iotlb",
+                      "walk_cache", "dma_channels", "flush", "isolation",
+                      "partition_frac", "encryption", "scale", "cores",
+                      "noc", "stats", "stats_json", "trace_file",
+                      "trace"});
 
     // System selection.
     const std::string system_name = cfg.getString("system", "snpu");
@@ -81,14 +87,6 @@ main(int argc, char **argv)
     SocParams params = makeSystem(kind);
 
     // Protection backend override, validated against the registry.
-    // The access_control= alias completed its deprecation cycle
-    // (DESIGN.md §3f): reject it with the migration hint instead of
-    // silently ignoring a key that used to select the backend.
-    if (!cfg.getString("access_control", "").empty()) {
-        std::fprintf(stderr, "snpu_run: access_control= was removed; "
-                             "use protection=\n");
-        return 2;
-    }
     std::string protection = cfg.getString("protection", "");
     if (!protection.empty()) {
         ProtectionRegistry &reg = ProtectionRegistry::global();
@@ -110,11 +108,9 @@ main(int argc, char **argv)
         return 2;
     }
 
-    params.iotlb_entries = static_cast<std::uint32_t>(
-        cfg.getInt("iotlb", params.iotlb_entries));
+    params.iotlb_entries = cfg.getUint("iotlb", params.iotlb_entries);
     params.iommu_walk_cache = cfg.getBool("walk_cache", false);
-    params.dma_channels = static_cast<std::uint32_t>(
-        cfg.getInt("dma_channels", params.dma_channels));
+    params.dma_channels = cfg.getUint("dma_channels", params.dma_channels);
     params.memory_encryption = cfg.getBool("encryption", false);
     const std::string isolation = cfg.getString("isolation", "");
     if (isolation == "none")
@@ -157,23 +153,25 @@ main(int argc, char **argv)
     }
 
     // Task selection.
+    const std::string world = cfg.getString("world", "normal");
+    if (world != "normal" && world != "secure") {
+        std::fprintf(stderr, "unknown world '%s'\n", world.c_str());
+        return 2;
+    }
     NpuTask task = NpuTask::fromModel(
         modelByName(cfg.getString("model", "resnet")),
-        cfg.getString("world", "normal") == "secure" ? World::secure
-                                                     : World::normal);
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 1));
+        world == "secure" ? World::secure : World::normal);
+    const std::uint32_t scale = cfg.getUint("scale", 1);
     if (scale > 1)
         task.model = task.model.scaled(scale);
-
-    Soc soc(params);
-    TaskRunner runner(soc);
+    const std::uint32_t cores = cfg.getUint("cores", 1);
+    const bool dump_stats = cfg.getBool("stats", false);
+    const std::string stats_json = cfg.getString("stats_json", "");
 
     // Optional execution trace.
-    std::unique_ptr<FileTraceSink> trace_sink;
     const std::string trace_file = cfg.getString("trace_file", "");
+    std::uint32_t mask = 0;
     if (!trace_file.empty()) {
-        std::uint32_t mask = 0;
         std::string cats = cfg.getString("trace", "instr,sec");
         cats += ',';
         std::string token;
@@ -211,6 +209,12 @@ main(int argc, char **argv)
             }
             token.clear();
         }
+    }
+
+    Soc soc(params);
+    TaskRunner runner(soc);
+    std::unique_ptr<FileTraceSink> trace_sink;
+    if (!trace_file.empty()) {
         trace_sink =
             std::make_unique<FileTraceSink>(trace_file, mask);
         soc.attachTrace(trace_sink.get());
@@ -223,8 +227,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     task.model.weightBytes()));
 
-    const auto cores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 1));
     if (cores > 1) {
         std::vector<std::uint32_t> ids;
         for (std::uint32_t i = 0; i < cores; ++i)
@@ -265,9 +267,8 @@ main(int argc, char **argv)
                         res.flush_cycles));
     }
 
-    if (cfg.getBool("stats", false))
+    if (dump_stats)
         soc.stats().dump(std::cout);
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {
@@ -285,4 +286,23 @@ main(int argc, char **argv)
                     trace_file.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input (a malformed pair, an unknown key or value) is a
+    // usage error: exit 2, never abort.
+    try {
+        Config cfg;
+        for (int i = 1; i < argc; ++i)
+            cfg.parseArg(argv[i]);
+        return run(cfg);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        std::fprintf(stderr, "see the header comment for usage\n");
+        return 2;
+    }
 }

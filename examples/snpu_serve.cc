@@ -75,42 +75,33 @@ policyByName(const std::string &name)
     fatal("unknown isolation policy '", name, "'");
 }
 
-} // namespace
-
+/** Serve the configuration; every key is read before the run. */
 int
-main(int argc, char **argv)
+run(const Config &cfg)
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
-    }
-
-    const auto ntenants =
-        static_cast<std::uint32_t>(cfg.getInt("tenants", 4));
-    const auto ncores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 2));
-    const double load = cfg.getDouble("load", 0.7);
-    const std::string isolation = cfg.getString("isolation", "id");
-    const auto requests =
-        static_cast<std::uint32_t>(cfg.getInt("requests", 16));
-
-    // Protection backend selection. Secure tenants need the NPU
-    // Monitor, which only the guarder system carries, so non-guarder
-    // runs default secure=0. The access_control= alias completed its
-    // deprecation cycle (DESIGN.md §3f): reject it with the
-    // migration hint instead of silently ignoring it.
+    // The access_control= alias completed its deprecation cycle
+    // (DESIGN.md §3f): reject it with the migration hint instead of
+    // silently ignoring it.
     if (!cfg.getString("access_control", "").empty()) {
         std::fprintf(stderr, "snpu_serve: access_control= was "
                              "removed; use protection=\n");
         return 2;
     }
+    cfg.requireKnown({"tenants", "models", "cores", "load", "isolation",
+                      "protection", "requests", "secure", "capacity",
+                      "scale", "seed", "attest", "corrupt_boot",
+                      "corrupt_byte", "coarse_interval", "stats",
+                      "stats_json", "trace_file", "spans"});
+
+    const std::uint32_t ntenants = cfg.getUint("tenants", 4);
+    const std::uint32_t ncores = cfg.getUint("cores", 2);
+    const double load = cfg.getDouble("load", 0.7);
+    const std::string isolation = cfg.getString("isolation", "id");
+    const std::uint32_t requests = cfg.getUint("requests", 16);
+
+    // Protection backend selection. Secure tenants need the NPU
+    // Monitor, which only the guarder system carries, so non-guarder
+    // runs default secure=0.
     std::string protection = cfg.getString("protection", "guarder");
     ProtectionRegistry &reg = ProtectionRegistry::global();
     if (!reg.known(protection)) {
@@ -121,17 +112,15 @@ main(int argc, char **argv)
         return 2;
     }
     const bool guarded = protection == "guarder";
-    const auto secure = static_cast<std::uint32_t>(
-        cfg.getInt("secure", guarded ? ntenants / 2 : 0));
+    const std::uint32_t secure =
+        cfg.getUint("secure", guarded ? ntenants / 2 : 0);
     if (!guarded && secure > 0) {
         std::fprintf(stderr, "secure tenants need the NPU Monitor "
                              "(protection=guarder)\n");
         return 2;
     }
-    const auto capacity =
-        static_cast<std::uint32_t>(cfg.getInt("capacity", 8));
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 16));
+    const std::uint32_t capacity = cfg.getUint("capacity", 8);
+    const std::uint32_t scale = cfg.getUint("scale", 16);
     const auto seed =
         static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     const bool attest = cfg.getBool("attest", false);
@@ -144,32 +133,15 @@ main(int argc, char **argv)
     ServerConfig server_cfg;
     server_cfg.policy = policyByName(isolation);
     server_cfg.num_cores = ncores;
-    server_cfg.coarse_interval = static_cast<std::uint32_t>(
-        cfg.getInt("coarse_interval", 5));
+    server_cfg.coarse_interval = cfg.getUint("coarse_interval", 5);
     server_cfg.attestation = attest;
+    const bool dump_stats = cfg.getBool("stats", false);
+    const std::string stats_json = cfg.getString("stats_json", "");
+    const std::string trace_file = cfg.getString("trace_file", "");
+    const bool spans = cfg.getBool("spans", false);
 
-    // The guarder serves on the full sNPU system (with the monitor);
-    // other backends serve on the system they belong to.
-    SocParams soc_params =
-        guarded ? makeSystem(SystemKind::snpu)
-                : makeSystem(protection == "iommu"
-                                 ? SystemKind::trustzone_npu
-                                 : SystemKind::normal_npu);
-    soc_params.protection = protection;
-    soc_params.boot_corrupt_stage = cfg.getString("corrupt_boot", "");
-    soc_params.boot_corrupt_byte = static_cast<std::uint32_t>(
-        cfg.getInt("corrupt_byte", 0));
-    Soc soc(soc_params);
-    if (soc.hasMonitor() && !soc.bootReport().ok) {
-        std::printf("measured boot HALTED at stage '%s' — the "
-                    "measurement register diverged\n",
-                    soc.bootReport().failed_stage.c_str());
-    }
-
-    // Tenants cycle through the model zoo; the first `secure` of
-    // them run confidential models through the NPU Monitor. The
-    // offered load is calibrated against the mean ideal service
-    // time across the tenant mix.
+    // Tenants cycle through the model zoo (models=, else the whole
+    // zoo in order).
     std::vector<ModelId> zoo;
     std::string names = cfg.getString("models", "");
     while (!names.empty()) {
@@ -181,6 +153,27 @@ main(int argc, char **argv)
     }
     if (zoo.empty())
         zoo = allModels();
+
+    // The guarder serves on the full sNPU system (with the monitor);
+    // other backends serve on the system they belong to.
+    SocParams soc_params =
+        guarded ? makeSystem(SystemKind::snpu)
+                : makeSystem(protection == "iommu"
+                                 ? SystemKind::trustzone_npu
+                                 : SystemKind::normal_npu);
+    soc_params.protection = protection;
+    soc_params.boot_corrupt_stage = cfg.getString("corrupt_boot", "");
+    soc_params.boot_corrupt_byte = cfg.getUint("corrupt_byte", 0);
+    Soc soc(soc_params);
+    if (soc.hasMonitor() && !soc.bootReport().ok) {
+        std::printf("measured boot HALTED at stage '%s' — the "
+                    "measurement register diverged\n",
+                    soc.bootReport().failed_stage.c_str());
+    }
+
+    // The first `secure` tenants run confidential models through
+    // the NPU Monitor. The offered load is calibrated against the
+    // mean ideal service time across the tenant mix.
     std::vector<TenantSpec> tenants(ntenants);
     std::vector<double> service(ntenants);
     double max_service = 0.0;
@@ -224,7 +217,6 @@ main(int argc, char **argv)
     // Optional serve-path trace: request spans, scheduling
     // decisions and monitor activity.
     std::unique_ptr<FileTraceSink> trace_sink;
-    const std::string trace_file = cfg.getString("trace_file", "");
     if (!trace_file.empty()) {
         const std::uint32_t mask = traceMask(TraceCategory::serve) |
                                    traceMask(TraceCategory::sched) |
@@ -283,7 +275,7 @@ main(int argc, char **argv)
                         res.attest_overhead));
     }
 
-    if (cfg.getBool("spans", false)) {
+    if (spans) {
         std::printf("\n%-14s %6s %12s %12s %9s %8s\n", "tenant",
                     "spans", "mean queue", "mean exec", "overflow",
                     "clipped");
@@ -297,12 +289,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (cfg.getBool("stats", false)) {
+    if (dump_stats) {
         std::ostringstream os;
         soc.stats().dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {
@@ -320,4 +311,23 @@ main(int argc, char **argv)
                     trace_file.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input (a malformed pair, an unknown key or value) is a
+    // usage error: exit 2, never abort.
+    try {
+        Config cfg;
+        for (int i = 1; i < argc; ++i)
+            cfg.parseArg(argv[i]);
+        return run(cfg);
+    } catch (const FatalError &) {
+        // fatal() has already printed the reason.
+        std::fprintf(stderr, "see the header comment for usage\n");
+        return 2;
+    }
 }

@@ -1,5 +1,7 @@
 #include "core/area_model.hh"
 
+#include "spad/scratchpad.hh"
+
 namespace snpu
 {
 
@@ -86,9 +88,7 @@ AreaModel::sSpad() const
 Resources
 AreaModel::sSpadMultiDomain(std::uint32_t domains) const
 {
-    std::uint32_t tag_bits = 0;
-    for (std::uint32_t d = domains; d > 1; d >>= 1)
-        ++tag_bits;
+    const std::uint32_t tag_bits = tagBits(domains);
     Resources r;
     const double spad_rows =
         static_cast<double>(cfg.spad_kib_per_tile) * 1024 / 16;

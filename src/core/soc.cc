@@ -63,7 +63,7 @@ Soc::Soc(SocParams params)
     mem_params.l2.size_bytes =
         static_cast<std::uint64_t>(cfg.l2_mib) << 20;
     mem_params.l2.banks = cfg.l2_banks;
-    mem_params.crypto.enabled = cfg.memory_encryption;
+    mem_params.memory_encryption = cfg.memory_encryption;
     mem_system = std::make_unique<MemSystem>(stat_group, AddressMap{},
                                              mem_params);
 

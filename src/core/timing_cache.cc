@@ -84,7 +84,7 @@ void
 replayIds(Scratchpad &spad, const std::vector<Scratchpad::WrittenRange> &ranges)
 {
     for (const Scratchpad::WrittenRange &r : ranges)
-        spad.rawSetIds(r.first, r.count, r.world);
+        spad.rawSetIds(r.first, r.count, r.domain);
 }
 
 } // namespace

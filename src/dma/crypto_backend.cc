@@ -37,18 +37,17 @@ CryptoBackend::CryptoBackend(stats::Group *stats,
                              CryptoBackendParams params)
     : ProtectionBackend("crypto", stats), params(params),
       regions(params.regions),
-      counter_cache(params.counter_cache_entries)
+      cstats(stats ? std::make_unique<CryptoStats>(*stats) : nullptr),
+      engine(params.engine, cstats ? &cstats->counter_hits : nullptr,
+             cstats ? &cstats->counter_misses : nullptr,
+             cstats ? &cstats->aes_blocks : nullptr)
 {
-    if (params.counter_cache_entries == 0)
-        fatal("crypto backend counter cache needs at least one entry");
     if (params.regions == 0)
         fatal("crypto backend needs at least one keyed region");
     if (params.mac_bytes_per_cycle <= 0 ||
         params.dma_bytes_per_cycle <= 0) {
         fatal("crypto backend throughputs must be positive");
     }
-    if (stats)
-        cstats = std::make_unique<CryptoStats>(*stats);
 }
 
 CryptoBackend::~CryptoBackend() = default;
@@ -106,33 +105,6 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
 }
 
 Tick
-CryptoBackend::counterLookup(Addr page)
-{
-    CounterEntry *victim = &counter_cache[0];
-    for (auto &entry : counter_cache) {
-        if (entry.valid && entry.page == page) {
-            entry.lru = ++lru_clock;
-            ++n_counter_hits;
-            if (cstats)
-                ++cstats->counter_hits;
-            return 0;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lru < victim->lru) {
-            victim = &entry;
-        }
-    }
-    ++n_counter_misses;
-    if (cstats)
-        ++cstats->counter_misses;
-    victim->valid = true;
-    victim->page = page;
-    victim->lru = ++lru_clock;
-    return params.counter_miss_penalty;
-}
-
-Tick
 CryptoBackend::transferOverhead(Tick when, Addr paddr,
                                 std::uint32_t bytes, MemOp op)
 {
@@ -140,20 +112,10 @@ CryptoBackend::transferOverhead(Tick when, Addr paddr,
     if (bytes == 0)
         return 0;
 
-    const std::uint64_t blocks = (bytes + 63) / 64;
-    if (cstats)
-        cstats->aes_blocks += static_cast<double>(blocks);
-
-    // Counter fetches: one cached counter line per 4 KiB page.
-    Tick stall = 0;
-    const Addr first_page = paddr / page_bytes;
-    const Addr last_page = (paddr + bytes - 1) / page_bytes;
-    for (Addr page = first_page; page <= last_page; ++page)
-        stall += counterLookup(page);
-
-    // Pipelined AES: fill latency once; throughput matches the DMA
+    // Pipelined AES: fill latency once, plus a counter fetch per
+    // page whose counter line misses; throughput matches the DMA
     // stream, so no per-block cost beyond the fill.
-    stall += params.engine_latency;
+    Tick stall = engine.charge(paddr, bytes);
 
     // MAC: the SHA unit absorbs the stream in parallel with the
     // packet issue. Its lower throughput surfaces as the difference,
@@ -263,9 +225,9 @@ std::uint64_t
 CryptoBackend::timingFingerprint() const
 {
     std::uint64_t h = ProtectionBackend::timingFingerprint();
-    h = hashMix(h, std::uint64_t(params.engine_latency));
-    h = hashMix(h, std::uint64_t(params.counter_cache_entries));
-    h = hashMix(h, std::uint64_t(params.counter_miss_penalty));
+    h = hashMix(h, std::uint64_t(params.engine.aes_latency));
+    h = hashMix(h, std::uint64_t(params.engine.counter_cache_entries));
+    h = hashMix(h, std::uint64_t(params.engine.counter_miss_penalty));
     h = hashMix(h, std::uint64_t(params.mac_latency));
     h = hashMix(h, params.mac_bytes_per_cycle);
     h = hashMix(h, params.dma_bytes_per_cycle);

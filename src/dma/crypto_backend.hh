@@ -7,9 +7,8 @@
  * comes from keys and per-region versions rather than from denied
  * accesses.
  *
- * Timing model, lifted from the DRAM-side engine in
- * mem/mem_crypto.hh and charged per DMA transfer instead of per
- * line:
+ * Timing model: the counter-mode engine of mem/mem_crypto.hh (the
+ * one MemSystem charges per L2 line), charged per DMA transfer:
  *
  *  - a pipelined AES engine adds a fixed fill latency once per
  *    transfer (full throughput once primed);
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "dma/access_control.hh"
+#include "mem/mem_crypto.hh"
 #include "tee/sha256.hh"
 
 namespace snpu
@@ -47,12 +47,8 @@ namespace snpu
 /** Crypto backend geometry and latencies. */
 struct CryptoBackendParams
 {
-    /** Pipelined AES fill latency, charged once per transfer. */
-    Tick engine_latency = 12;
-    /** Counter cache entries (one per 4 KiB page). */
-    std::uint32_t counter_cache_entries = 64;
-    /** Cost of fetching a missing counter line from DRAM. */
-    Tick counter_miss_penalty = 110;
+    /** AES pipeline and counter cache, charged once per transfer. */
+    CounterModeParams engine;
     /** HMAC finalize latency (tag generation/verification). */
     Tick mac_latency = 40;
     /** SHA-256 unit throughput absorbing the packet stream. */
@@ -109,11 +105,7 @@ class CryptoBackend : public ProtectionBackend
     Status endContext(bool from_secure) override;
 
     /** Counter-cache contents are the only hidden timing state. */
-    void canonicalizeTiming() override
-    {
-        for (auto &entry : counter_cache)
-            entry.valid = false;
-    }
+    void canonicalizeTiming() override { engine.resetTiming(); }
 
     std::uint64_t timingFingerprint() const override;
 
@@ -122,8 +114,11 @@ class CryptoBackend : public ProtectionBackend
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override;
 
-    std::uint64_t counterHits() const { return n_counter_hits; }
-    std::uint64_t counterMisses() const { return n_counter_misses; }
+    std::uint64_t counterHits() const { return engine.counterHits(); }
+    std::uint64_t counterMisses() const
+    {
+        return engine.counterMisses();
+    }
     std::uint64_t versionBumps() const { return n_version_bumps; }
     std::uint32_t regionCapacity() const
     {
@@ -144,29 +139,17 @@ class CryptoBackend : public ProtectionBackend
         Digest tag{};
     };
 
-    struct CounterEntry
-    {
-        bool valid = false;
-        Addr page = 0;
-        std::uint64_t lru = 0;
-    };
-
     const KeyedRegion *findRegion(Addr addr,
                                   std::uint32_t bytes) const;
-    /** Counter-cache lookup for @p page; returns the miss penalty. */
-    Tick counterLookup(Addr page);
 
     CryptoBackendParams params;
     std::vector<KeyedRegion> regions;
-    std::vector<CounterEntry> counter_cache;
-    std::uint64_t lru_clock = 0;
-    std::uint64_t n_counter_hits = 0;
-    std::uint64_t n_counter_misses = 0;
     std::uint64_t n_version_bumps = 0;
 
     /** Backend-specific exported stats (optional, like the base). */
     struct CryptoStats;
     std::unique_ptr<CryptoStats> cstats;
+    CounterModeEngine engine;
 };
 
 } // namespace snpu

@@ -34,7 +34,7 @@ registerBuiltins(ProtectionRegistry &reg)
     });
     reg.add("crypto", false, [](const ProtectionBuildContext &ctx) {
         CryptoBackendParams cp;
-        cp.counter_cache_entries = ctx.params.crypto_counter_entries;
+        cp.engine.counter_cache_entries = ctx.params.crypto_counter_entries;
         cp.dma_bytes_per_cycle = 64.0;
         cp.mac_bytes_per_cycle = ctx.params.crypto_mac_bytes_per_cycle;
         return std::make_unique<CryptoBackend>(&ctx.stats, cp);

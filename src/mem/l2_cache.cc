@@ -8,7 +8,7 @@ namespace snpu
 {
 
 L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
-                 MemCryptoEngine *crypto)
+                 CounterModeEngine *crypto)
     : params(params), dram(dram), crypto(crypto),
       num_sets(0),
       hit_count(stats, "l2_hits", "L2 line hits"),
@@ -68,12 +68,12 @@ L2Cache::accessLine(Tick when, Addr line_addr, MemOp op, World world)
         ++writebacks;
         Tick wb = dram.access(ready, line_bytes, MemOp::write);
         if (crypto)
-            wb += crypto->accessPenalty(victim->tag * line_bytes);
+            wb += crypto->charge(victim->tag * line_bytes, line_bytes);
         (void)wb; // write-back is off the critical path
     }
     ready = dram.access(ready, line_bytes, MemOp::read);
     if (crypto)
-        ready += crypto->accessPenalty(line_addr);
+        ready += crypto->charge(line_addr, line_bytes);
 
     victim->valid = true;
     victim->dirty = (op == MemOp::write);

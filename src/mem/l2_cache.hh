@@ -43,7 +43,7 @@ class L2Cache
 {
   public:
     L2Cache(stats::Group &stats, DramModel &dram, L2Params params = {},
-            MemCryptoEngine *crypto = nullptr);
+            CounterModeEngine *crypto = nullptr);
 
     /**
      * Serve a line-granular access arriving at @p when.
@@ -92,7 +92,7 @@ class L2Cache
     L2Params params;
     DramModel &dram;
     /** Optional DRAM-side memory encryption engine. */
-    MemCryptoEngine *crypto;
+    CounterModeEngine *crypto;
     std::uint32_t num_sets;
     std::vector<Line> lines;           // num_sets * ways
     std::vector<Tick> bank_free;       // per-bank next-free tick

@@ -5,32 +5,25 @@
 namespace snpu
 {
 
-MemCryptoEngine::MemCryptoEngine(stats::Group &stats,
-                                 MemCryptoParams params)
-    : params(params),
-      cache(params.counter_cache_entries),
-      hits(stats, "mee_counter_hits", "counter cache hits"),
-      misses(stats, "mee_counter_misses", "counter cache misses"),
-      blocks(stats, "mee_blocks", "lines through the AES engine")
+CounterModeEngine::CounterModeEngine(CounterModeParams params,
+                                     stats::Scalar *hits,
+                                     stats::Scalar *misses,
+                                     stats::Scalar *blocks)
+    : p(params), cache(params.counter_cache_entries), hit_stat(hits),
+      miss_stat(misses), block_stat(blocks)
 {
-    if (params.enabled && params.counter_cache_entries == 0)
+    if (params.counter_cache_entries == 0)
         fatal("counter cache needs at least one entry");
 }
 
-Tick
-MemCryptoEngine::accessPenalty(Addr paddr)
+bool
+CounterModeEngine::lookup(Addr page)
 {
-    if (!params.enabled)
-        return 0;
-    ++blocks;
-
-    const Addr page = paddr / page_bytes;
     CounterEntry *victim = &cache[0];
     for (auto &entry : cache) {
         if (entry.valid && entry.page == page) {
             entry.lru = ++clock;
-            ++hits;
-            return params.engine_latency;
+            return true;
         }
         if (!entry.valid) {
             victim = &entry;
@@ -38,11 +31,35 @@ MemCryptoEngine::accessPenalty(Addr paddr)
             victim = &entry;
         }
     }
-    ++misses;
     victim->valid = true;
     victim->page = page;
     victim->lru = ++clock;
-    return params.engine_latency + params.counter_miss_penalty;
+    return false;
+}
+
+Tick
+CounterModeEngine::charge(Addr paddr, std::uint64_t bytes)
+{
+    if (bytes == 0)
+        return 0;
+    if (block_stat)
+        *block_stat += static_cast<double>((bytes + 63) / 64);
+
+    Tick stall = p.aes_latency;
+    const Addr last_page = (paddr + bytes - 1) / page_bytes;
+    for (Addr page = paddr / page_bytes; page <= last_page; ++page) {
+        if (lookup(page)) {
+            ++n_hits;
+            if (hit_stat)
+                ++*hit_stat;
+        } else {
+            ++n_misses;
+            if (miss_stat)
+                ++*miss_stat;
+            stall += p.counter_miss_penalty;
+        }
+    }
+    return stall;
 }
 
 } // namespace snpu

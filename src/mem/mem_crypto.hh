@@ -1,20 +1,21 @@
 /**
  * @file
- * Memory encryption engine (§VII "Memory Encryption"): the
- * counter-mode DRAM protection that encrypted NPU TEEs (TNPU, MGX,
- * GuardNN, Securator) layer under the memory controller. sNPU is
- * explicitly complementary to it — this module exists to quantify
- * the combination.
+ * Counter-mode memory encryption engine (§VII "Memory Encryption"):
+ * the DRAM protection that encrypted NPU TEEs (TNPU, MGX, GuardNN,
+ * Securator) layer under the accelerator. sNPU is explicitly
+ * complementary to it. One engine model serves both attachment
+ * points: MemSystem charges it per L2 line on the DRAM side (the
+ * `memory_encryption` ablation), and the DMA-side CryptoBackend
+ * charges it per transfer.
  *
- * Timing model: data leaving/entering DRAM passes a pipelined AES
- * engine (fixed latency, full throughput). Counter blocks are cached
- * per page in a small counter cache; a miss costs one extra DRAM
- * access to fetch the counter line. Integrity uses the NPU-friendly
- * tree-less scheme of TNPU (per-region versioning), so no
- * tree-walk traffic is modeled.
+ * Timing model: data passes a pipelined AES engine, which adds a
+ * fixed fill latency per pass at full throughput. Counter blocks
+ * are cached per page in a small LRU counter cache; each page whose
+ * counter block misses costs one extra DRAM access to fetch the
+ * counter line.
  *
- * Functional note: the simulator's backing store stays plaintext —
- * this engine models the *cost* of encryption; confidentiality
+ * Functional note: the simulator's backing store stays plaintext.
+ * The engine models the *cost* of encryption; confidentiality
  * against physical attack is outside the simulated threat surface
  * (the paper's threat model excludes physical attacks for sNPU too).
  */
@@ -32,31 +33,37 @@
 namespace snpu
 {
 
-/** Encryption engine parameters. */
-struct MemCryptoParams
+/** Counter-mode engine latencies and counter-cache geometry. */
+struct CounterModeParams
 {
-    bool enabled = false;
-    /** Pipelined AES latency added to each DRAM-side line access. */
-    Tick engine_latency = 12;
+    /** Pipelined AES fill latency, charged once per pass. */
+    Tick aes_latency = 12;
     /** Counter cache entries (one per 4 KiB page). */
     std::uint32_t counter_cache_entries = 64;
     /** Cost of fetching a missing counter line from DRAM. */
     Tick counter_miss_penalty = 110;
 };
 
-/**
- * The engine. MemSystem consults it on the DRAM side of every
- * miss/uncached access; it returns the extra cycles the access pays.
- */
-class MemCryptoEngine
+/** The engine: AES pipeline plus per-page counter cache. */
+class CounterModeEngine
 {
   public:
-    MemCryptoEngine(stats::Group &stats, MemCryptoParams params = {});
+    /**
+     * @p hits, @p misses and @p blocks (each may be null) are the
+     * owner's stats: counter-cache lookups that hit and miss, and
+     * 64-byte blocks through the AES pipeline.
+     */
+    explicit CounterModeEngine(CounterModeParams params = {},
+                               stats::Scalar *hits = nullptr,
+                               stats::Scalar *misses = nullptr,
+                               stats::Scalar *blocks = nullptr);
 
-    bool enabled() const { return params.enabled; }
-
-    /** Extra latency for a DRAM-side access to @p paddr. */
-    Tick accessPenalty(Addr paddr);
+    /**
+     * Extra cycles to pass [paddr, paddr+bytes) through the engine:
+     * the AES fill latency plus the counter-line fetches of the
+     * pages whose counter blocks miss.
+     */
+    Tick charge(Addr paddr, std::uint64_t bytes);
 
     /** Drop all cached counter lines (timing canonicalization). */
     void resetTiming()
@@ -65,14 +72,9 @@ class MemCryptoEngine
             entry.valid = false;
     }
 
-    std::uint64_t counterHits() const
-    {
-        return static_cast<std::uint64_t>(hits.value());
-    }
-    std::uint64_t counterMisses() const
-    {
-        return static_cast<std::uint64_t>(misses.value());
-    }
+    const CounterModeParams &params() const { return p; }
+    std::uint64_t counterHits() const { return n_hits; }
+    std::uint64_t counterMisses() const { return n_misses; }
 
   private:
     struct CounterEntry
@@ -82,13 +84,17 @@ class MemCryptoEngine
         std::uint64_t lru = 0;
     };
 
-    MemCryptoParams params;
+    /** Counter-cache lookup for @p page; true on a hit. */
+    bool lookup(Addr page);
+
+    CounterModeParams p;
     std::vector<CounterEntry> cache;
     std::uint64_t clock = 0;
-
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar blocks;
+    std::uint64_t n_hits = 0;
+    std::uint64_t n_misses = 0;
+    stats::Scalar *hit_stat;
+    stats::Scalar *miss_stat;
+    stats::Scalar *block_stat;
 };
 
 } // namespace snpu

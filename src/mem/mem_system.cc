@@ -9,8 +9,12 @@ MemSystem::MemSystem(stats::Group &stats, AddressMap map,
                      MemSystemParams params)
     : _map(map), params(params),
       _dram(stats, params.dram),
-      _crypto(stats, params.crypto),
-      _l2(stats, _dram, params.l2, &_crypto),
+      mee_hits(stats, "mee_counter_hits", "counter cache hits"),
+      mee_misses(stats, "mee_counter_misses", "counter cache misses"),
+      mee_blocks(stats, "mee_blocks", "lines through the AES engine"),
+      _crypto({}, &mee_hits, &mee_misses, &mee_blocks),
+      _l2(stats, _dram, params.l2,
+          params.memory_encryption ? &_crypto : nullptr),
       accesses(stats, "mem_accesses", "memory system accesses"),
       violations(stats, "mem_violations",
                  "accesses rejected by the world partition")
@@ -50,8 +54,12 @@ MemResult
 MemSystem::accessUncachedInternal(Tick when, const MemRequest &req)
 {
     MemResult result;
-    result.done = _dram.access(when, req.bytes, req.op) +
-                  _crypto.accessPenalty(req.paddr);
+    result.done = _dram.access(when, req.bytes, req.op);
+    if (params.memory_encryption) {
+        // One line through the engine: the one holding paddr.
+        result.done +=
+            _crypto.charge(req.paddr / line_bytes * line_bytes, line_bytes);
+    }
     result.ok = true;
     result.l2_hit = false;
     return result;

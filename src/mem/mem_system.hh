@@ -28,8 +28,9 @@ struct MemSystemParams
 {
     DramParams dram;
     L2Params l2;
-    /** Optional DRAM encryption (the TNPU-style complement, ablation). */
-    MemCryptoParams crypto;
+    /** DRAM-side counter-mode encryption of every L2 line (the
+     *  TNPU-style complement, ablation). */
+    bool memory_encryption = false;
     /** When false, NPU traffic bypasses L2 (pure streaming). */
     bool npu_through_l2 = true;
 };
@@ -61,7 +62,6 @@ class MemSystem
     const AddressMap &map() const { return _map; }
     DramModel &dram() { return _dram; }
     L2Cache &l2() { return _l2; }
-    MemCryptoEngine &cryptoEngine() { return _crypto; }
 
     /**
      * Reset all hidden timing state (DRAM channel occupancy, L2
@@ -92,7 +92,10 @@ class MemSystem
     MemSystemParams params;
     PhysMem mem;
     DramModel _dram;
-    MemCryptoEngine _crypto;
+    stats::Scalar mee_hits;
+    stats::Scalar mee_misses;
+    stats::Scalar mee_blocks;
+    CounterModeEngine _crypto;
     L2Cache _l2;
 
     stats::Scalar accesses;

@@ -66,6 +66,17 @@ Config::getInt(const std::string &key, std::int64_t dflt) const
     return v;
 }
 
+std::uint32_t
+Config::getUint(const std::string &key, std::uint32_t dflt) const
+{
+    const std::int64_t v = getInt(key, dflt);
+    if (v < 0 || v > std::int64_t{UINT32_MAX}) {
+        fatal("config key '", key, "' is not a 32-bit unsigned integer: ",
+              v);
+    }
+    return static_cast<std::uint32_t>(v);
+}
+
 double
 Config::getDouble(const std::string &key, double dflt) const
 {
@@ -100,6 +111,18 @@ Config::parseArg(const std::string &arg)
     if (eq == std::string::npos || eq == 0)
         fatal("expected key=value, got '", arg, "'");
     set(arg.substr(0, eq), arg.substr(eq + 1));
+}
+
+void
+Config::requireKnown(std::initializer_list<const char *> known) const
+{
+    for (const auto &entry : kv) {
+        bool found = false;
+        for (const char *k : known)
+            found |= entry.first == k;
+        if (!found)
+            fatal("unknown config key '", entry.first, "'");
+    }
 }
 
 } // namespace snpu

@@ -9,6 +9,7 @@
 #define SNPU_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -35,11 +36,19 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &dflt = "") const;
     std::int64_t getInt(const std::string &key, std::int64_t dflt = 0) const;
+    /** getInt() for a count or size: fatal unless it fits 32 bits
+     *  unsigned. */
+    std::uint32_t getUint(const std::string &key,
+                          std::uint32_t dflt = 0) const;
     double getDouble(const std::string &key, double dflt = 0.0) const;
     bool getBool(const std::string &key, bool dflt = false) const;
 
     /** Parse "key=value" pairs, e.g. from argv. */
     void parseArg(const std::string &arg);
+
+    /** fatal() on the first key not in @p known (a misspelt key
+     *  would otherwise fall back to its default unnoticed). */
+    void requireKnown(std::initializer_list<const char *> known) const;
 
     const std::map<std::string, std::string> &raw() const { return kv; }
 

@@ -11,7 +11,7 @@ namespace snpu
 Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
     : params(params),
       data(static_cast<std::size_t>(params.rows) * params.row_bytes, 0),
-      id_state(params.rows, World::normal),
+      id_state(params.rows, 0),
       reads(stats, "spad_reads", "scratchpad row reads"),
       writes(stats, "spad_writes", "scratchpad row writes"),
       denied(stats, "spad_denied", "scratchpad accesses denied"),
@@ -23,6 +23,10 @@ Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
         fatal("scratchpad needs nonzero geometry");
     if (params.partition_boundary > params.rows)
         fatal("partition boundary beyond scratchpad");
+    if (params.domains < 2 || params.domains > 256 ||
+        (params.domains & (params.domains - 1)) != 0) {
+        fatal("domain count must be a power of two in [2, 256]");
+    }
 }
 
 void
@@ -59,24 +63,31 @@ Scratchpad::probeRead(std::uint32_t row)
 }
 
 void
-Scratchpad::deny(SpadOp op, std::uint32_t row)
+Scratchpad::deny(SpadOp op, Domain who, std::uint32_t row)
 {
     const char *verb = op == SpadOp::read ? "read of " : "write of ";
     ++denied;
-    if (params.mode == IsolationMode::partition) {
+    if (who.id >= params.domains) {
+        tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
+                    row, " denied: no domain ", unsigned(who.id));
+    } else if (params.mode == IsolationMode::partition) {
         tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
                     row, " denied: partition boundary");
     } else if (params.scope == SpadScope::local) {
         tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
                     row, " denied: wordline ID mismatch");
-    } else {
+    } else if (params.domains == 2) {
         tracer.emit(0, TraceCategory::spad, trace_name, verb,
                     "secure row ", row, " denied to normal world");
+    } else {
+        tracer.emit(0, TraceCategory::spad, trace_name, verb, "row ",
+                    row, " of domain ", unsigned(id_state[row]),
+                    " denied to domain ", unsigned(who.id));
     }
 }
 
 SpadAccess
-Scratchpad::read(World reader, std::uint32_t first, std::uint32_t count,
+Scratchpad::read(Domain reader, std::uint32_t first, std::uint32_t count,
                  std::uint8_t *dst)
 {
     const std::uint32_t in_bounds = inBounds(first, count);
@@ -100,11 +111,11 @@ Scratchpad::read(World reader, std::uint32_t first, std::uint32_t count,
     // The admitted rows, in bulk.
     reads += stop;
     if (params.mode == IsolationMode::id_based &&
-        params.scope == SpadScope::global && reader == World::secure) {
+        params.scope == SpadScope::global && reader != World::normal) {
         // Global rule: a secure read claims each line it reads.
         for (std::uint32_t row = first; row < first + stop; ++row) {
-            if (id_state[row] != World::secure) {
-                id_state[row] = World::secure;
+            if (id_state[row] != reader.id) {
+                id_state[row] = reader.id;
                 ++id_flips;
                 recordWrites(row, 1);
             }
@@ -126,12 +137,12 @@ Scratchpad::read(World reader, std::uint32_t first, std::uint32_t count,
     if (injected)
         ++denied;
     else
-        deny(SpadOp::read, first + stop);
+        deny(SpadOp::read, reader, first + stop);
     return {SpadStatus::security_violation, stop};
 }
 
 SpadAccess
-Scratchpad::write(World writer, std::uint32_t first, std::uint32_t count,
+Scratchpad::write(Domain writer, std::uint32_t first, std::uint32_t count,
                   const std::uint8_t *src)
 {
     const std::uint32_t in_bounds = inBounds(first, count);
@@ -142,12 +153,13 @@ Scratchpad::write(World writer, std::uint32_t first, std::uint32_t count,
     if (params.mode == IsolationMode::id_based && stop > 0) {
         // Every admitted row ends up holding the writer's ID: the
         // local forced write flips it, and under the global rule a
-        // normal writer only reaches lines that are already normal.
-        World *ids = id_state.data() + first;
+        // writer reaches only its own lines and untagged ones, which
+        // a secure writer claims.
+        std::uint8_t *ids = id_state.data() + first;
         std::uint32_t flips = 0;
         for (std::uint32_t i = 0; i < stop; ++i) {
-            flips += ids[i] != writer;
-            ids[i] = writer;
+            flips += ids[i] != writer.id;
+            ids[i] = writer.id;
         }
         id_flips += flips;
     }
@@ -164,7 +176,7 @@ Scratchpad::write(World writer, std::uint32_t first, std::uint32_t count,
     if (stop == in_bounds)
         return {SpadStatus::bad_index, stop};
     ++writes;
-    deny(SpadOp::write, first + stop);
+    deny(SpadOp::write, writer, first + stop);
     return {SpadStatus::security_violation, stop};
 }
 
@@ -184,16 +196,41 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
     tracer.emit(0, TraceCategory::spad, trace_name,
                 "secure reset: scrubbed rows [", first, ", ",
                 first + count, ")");
-    World *ids = id_state.data() + first;
-    id_flips += static_cast<double>(std::count(ids, ids + count,
-                                               World::secure));
-    std::fill(ids, ids + count, World::normal);
+    std::uint8_t *ids = id_state.data() + first;
+    id_flips += static_cast<double>(count - std::count(ids, ids + count, 0));
+    std::fill(ids, ids + count, 0);
     recordWrites(first, count);
     // Resetting also scrubs the payload: the secret must not survive
     // the ownership change.
     std::memset(data.data() +
                     static_cast<std::size_t>(first) * params.row_bytes,
                 0, static_cast<std::size_t>(count) * params.row_bytes);
+    return true;
+}
+
+bool
+Scratchpad::resetDomain(Domain d, bool from_secure)
+{
+    if (!from_secure) {
+        ++denied;
+        tracer.emit(0, TraceCategory::spad, trace_name,
+                    "domain reset denied: not issued from secure "
+                    "context");
+        return false;
+    }
+    if (d == World::normal || d.id >= params.domains)
+        return false;
+    tracer.emit(0, TraceCategory::spad, trace_name,
+                "domain reset: scrubbed the rows of domain ",
+                unsigned(d.id));
+    for (std::uint32_t row = 0; row < params.rows; ++row) {
+        if (id_state[row] != d.id)
+            continue;
+        id_state[row] = 0;
+        ++id_flips;
+        recordWrites(row, 1);
+        std::memset(rawRow(row), 0, params.row_bytes);
+    }
     return true;
 }
 
@@ -206,12 +243,12 @@ Scratchpad::setMode(IsolationMode mode, std::uint32_t partition_boundary)
     params.partition_boundary = partition_boundary;
 }
 
-World
+Domain
 Scratchpad::idState(std::uint32_t row) const
 {
     if (row >= params.rows)
         panic("idState: row out of range");
-    return id_state[row];
+    return Domain(id_state[row]);
 }
 
 std::uint32_t
@@ -240,12 +277,12 @@ Scratchpad::rawRow(std::uint32_t row) const
 }
 
 void
-Scratchpad::rawSetIds(std::uint32_t first, std::uint32_t count, World w)
+Scratchpad::rawSetIds(std::uint32_t first, std::uint32_t count, Domain d)
 {
     if (inBounds(first, count) != count)
         panic("rawSetIds: rows out of range");
     std::fill(id_state.begin() + first, id_state.begin() + first + count,
-              w);
+              d.id);
     recordWrites(first, count);
 }
 
@@ -265,14 +302,14 @@ Scratchpad::endWriteRecord(std::vector<WrittenRange> &out)
     std::sort(written_rows.begin(), written_rows.end());
     for (std::size_t i = 0; i < written_rows.size();) {
         const std::uint32_t row = written_rows[i];
-        const World w = id_state[row];
+        const std::uint8_t d = id_state[row];
         std::uint32_t count = 1;
         while (i + count < written_rows.size() &&
                written_rows[i + count] == row + count &&
-               id_state[row + count] == w) {
+               id_state[row + count] == d) {
             ++count;
         }
-        out.push_back(WrittenRange{row, count, w});
+        out.push_back(WrittenRange{row, count, Domain(d)});
         i += count;
     }
     for (const std::uint32_t row : written_rows)

@@ -2,17 +2,24 @@
  * @file
  * NPU scratchpad with the sNPU Isolator's ID-based wordline isolation
  * (§IV-B). The scratchpad is index-addressed SRAM with no relation to
- * system memory; every wordline carries a 1-bit security ID next to
- * its (large) data payload.
+ * system memory; every wordline carries a security ID next to its
+ * (large) data payload. The ID is a domain tag: the paper's two
+ * worlds are domains 0 (normal) and 1 (secure), and §VII "Multiple
+ * Secure Domains" widens the tag to log2(N) bits for N hardware
+ * domains, 1..N-1 being mutually isolated secure domains.
  *
  * Access rules under IsolationMode::id_based:
  *  - local (exclusive) scratchpad: reads require the reader's ID to
  *    match the line's ID; writes are always allowed and overwrite the
  *    line's ID with the writer's (forced write);
- *  - global (shared) scratchpad: a non-secure agent may neither read
- *    nor write a secure line; any secure access forcibly sets the
- *    line's ID to secure. A dedicated secure instruction resets lines
- *    from secure back to non-secure.
+ *  - global (shared) scratchpad: domain d may read or write only
+ *    lines tagged 0 or d, and any access by a secure domain claims
+ *    the untagged lines it touches. With two domains: the normal
+ *    world may not touch a secure line, and a secure access sets the
+ *    line's ID to secure.
+ *  - a dedicated secure instruction resets lines back to domain 0,
+ *    scrubbing them; a privileged reset does so for every line of
+ *    one domain.
  *
  * Alternative modes model the paper's strawmen: a static partition
  * (Fig 6a / Fig 15) and no protection at all (the LeftoverLocals
@@ -46,6 +53,31 @@ enum class IsolationMode : std::uint8_t
     /** sNPU: per-wordline ID bits with the rules above. */
     id_based,
 };
+
+/**
+ * A wordline's domain tag. A World converts implicitly:
+ * World::normal is domain 0 and World::secure domain 1.
+ */
+struct Domain
+{
+    std::uint8_t id = 0;
+
+    constexpr Domain() = default;
+    constexpr Domain(World w) : id(static_cast<std::uint8_t>(w)) {}
+    constexpr explicit Domain(std::uint8_t d) : id(d) {}
+
+    friend constexpr bool operator==(Domain, Domain) = default;
+};
+
+/** Tag bits per wordline for @p domains hardware domains. */
+constexpr std::uint32_t
+tagBits(std::uint32_t domains)
+{
+    std::uint32_t bits = 0;
+    for (; domains > 1; domains >>= 1)
+        ++bits;
+    return bits;
+}
 
 /** Local (per-core, exclusive) vs global (shared) scratchpad. */
 enum class SpadScope : std::uint8_t
@@ -95,6 +127,9 @@ struct SpadParams
     IsolationMode mode = IsolationMode::id_based;
     /** First row owned by the normal world under partition mode. */
     std::uint32_t partition_boundary = 0;
+    /** Hardware domains the tags tell apart (a power of two in
+     *  [2, 256]); two is the paper's normal/secure pair. */
+    std::uint32_t domains = 2;
 };
 
 /**
@@ -114,24 +149,25 @@ class Scratchpad
      * the stop row has exactly the effects a lone access to it has
      * (a denial counts as a read and a denial, an out-of-range row
      * as nothing). With an injector armed every row up to and
-     * including the stop row is probed, in row order.
+     * including the stop row is probed, in row order. A @p reader
+     * outside [0, domains) is refused at the first row.
      */
-    SpadAccess read(World reader, std::uint32_t first,
+    SpadAccess read(Domain reader, std::uint32_t first,
                     std::uint32_t count, std::uint8_t *dst);
 
     /** Write rows [first, first+count) from @p src (may be null),
      *  with read()'s stop-row rule. Writes are never probed. */
-    SpadAccess write(World writer, std::uint32_t first,
+    SpadAccess write(Domain writer, std::uint32_t first,
                      std::uint32_t count, const std::uint8_t *src);
 
     /** Read one row into @p dst (row_bytes long, may be null). */
-    SpadStatus read(World reader, std::uint32_t row, std::uint8_t *dst)
+    SpadStatus read(Domain reader, std::uint32_t row, std::uint8_t *dst)
     {
         return read(reader, row, 1, dst).status;
     }
 
     /** Write one row from @p src (row_bytes long, may be null). */
-    SpadStatus write(World writer, std::uint32_t row,
+    SpadStatus write(Domain writer, std::uint32_t row,
                      const std::uint8_t *src)
     {
         return write(writer, row, 1, src).status;
@@ -144,21 +180,28 @@ class Scratchpad
      * that issue several ranges per instruction use it to find the
      * row where the first of them stops.
      */
-    std::uint32_t admits(World who, std::uint32_t first,
+    std::uint32_t admits(Domain who, std::uint32_t first,
                          std::uint32_t count, SpadOp op) const;
 
     /**
-     * Secure instruction: reset rows [first, first+count) from secure
-     * to non-secure, zeroing their contents. Rejected unless issued
-     * from the secure context.
+     * Secure instruction: reset rows [first, first+count) to domain
+     * 0, zeroing their contents. Rejected unless issued from the
+     * secure context.
      */
     bool secureReset(std::uint32_t first, std::uint32_t count,
                      bool from_secure);
 
+    /**
+     * Privileged reset: return every row of secure domain @p d to
+     * domain 0, zeroing its contents. Rejected unless issued from the
+     * secure context and @p d is a secure domain of this scratchpad.
+     */
+    bool resetDomain(Domain d, bool from_secure);
+
     /** Reconfigure the isolation mode (experiment setup only). */
     void setMode(IsolationMode mode, std::uint32_t partition_boundary = 0);
 
-    World idState(std::uint32_t row) const;
+    Domain idState(std::uint32_t row) const;
     std::uint32_t rows() const { return params.rows; }
     std::uint32_t rowBytes() const { return params.row_bytes; }
     SpadScope scope() const { return params.scope; }
@@ -183,18 +226,19 @@ class Scratchpad
      */
     std::uint8_t *rawRow(std::uint32_t row);
     const std::uint8_t *rawRow(std::uint32_t row) const;
-    /** Set the ID of rows [first, first+count) to @p w (recorded). */
-    void rawSetIds(std::uint32_t first, std::uint32_t count, World w);
+    /** Set the ID of rows [first, first+count) to @p d (recorded). */
+    void rawSetIds(std::uint32_t first, std::uint32_t count, Domain d);
 
-    /** The whole per-row ID image (layer-timing cache key input). */
-    const std::vector<World> &idImage() const { return id_state; }
+    /** The whole per-row ID image, one domain id byte per row
+     *  (layer-timing cache key input). */
+    const std::vector<std::uint8_t> &idImage() const { return id_state; }
 
     /** A recorded run of rows left holding the same wordline ID. */
     struct WrittenRange
     {
         std::uint32_t first = 0;
         std::uint32_t count = 0;
-        World world = World::normal;
+        Domain domain;
     };
 
     /**
@@ -246,7 +290,7 @@ class Scratchpad
     /** Probe the read sites for @p row; true on an injected ID
      *  mismatch (a bit flip corrupts the row and returns false). */
     bool probeRead(std::uint32_t row);
-    void deny(SpadOp op, std::uint32_t row);
+    void deny(SpadOp op, Domain who, std::uint32_t row);
     void recordWrites(std::uint32_t first, std::uint32_t count)
     {
         if (!recording)
@@ -261,7 +305,7 @@ class Scratchpad
 
     SpadParams params;
     std::vector<std::uint8_t> data;   // rows * row_bytes
-    std::vector<World> id_state;      // per row
+    std::vector<std::uint8_t> id_state; // domain id per row
     bool recording = false;
     std::vector<std::uint8_t> write_mark; // lazily sized to rows
     std::vector<std::uint32_t> written_rows;
@@ -279,13 +323,12 @@ class Scratchpad
 namespace spad_detail
 {
 
-/** Offset of the first ID in [ids, ids+n) that is not @p w. */
+/** Offset of the first ID in [ids, ids+n) that is not @p d. */
 inline std::uint32_t
-firstNot(const World *ids, std::uint32_t n, World w)
+firstNot(const std::uint8_t *ids, std::uint32_t n, Domain d)
 {
     // IDs are bytes: compare eight at a time, then finish bytewise.
-    const std::uint64_t lanes =
-        0x0101010101010101ULL * static_cast<std::uint8_t>(w);
+    const std::uint64_t lanes = 0x0101010101010101ULL * d.id;
     std::uint32_t i = 0;
     for (; i + 8 <= n; i += 8) {
         std::uint64_t word;
@@ -293,7 +336,7 @@ firstNot(const World *ids, std::uint32_t n, World w)
         if (word != lanes)
             break;
     }
-    while (i < n && ids[i] == w)
+    while (i < n && ids[i] == d.id)
         ++i;
     return i;
 }
@@ -302,11 +345,11 @@ firstNot(const World *ids, std::uint32_t n, World w)
 
 // Inline: every access runs it, most of them on one row.
 inline std::uint32_t
-Scratchpad::admits(World who, std::uint32_t first, std::uint32_t count,
+Scratchpad::admits(Domain who, std::uint32_t first, std::uint32_t count,
                    SpadOp op) const
 {
     const std::uint32_t n = inBounds(first, count);
-    if (n == 0)
+    if (n == 0 || who.id >= params.domains)
         return 0;
     switch (params.mode) {
       case IsolationMode::none:
@@ -319,17 +362,24 @@ Scratchpad::admits(World who, std::uint32_t first, std::uint32_t count,
         return first >= boundary ? n : 0;
       }
       case IsolationMode::id_based: {
-        const World *ids = id_state.data() + first;
+        const std::uint8_t *ids = id_state.data() + first;
         if (params.scope == SpadScope::local) {
             // Local rule: a read requires an ID match; a write is a
             // forced write, always allowed.
             return op == SpadOp::write ? n
                                        : spad_detail::firstNot(ids, n, who);
         }
-        // Global rule: the normal world may not touch a secure line.
-        return who == World::secure
-                   ? n
-                   : spad_detail::firstNot(ids, n, World::normal);
+        // Global rule: domain d reaches lines tagged 0 or d, so the
+        // normal world may not touch a secure line, and with two
+        // domains the secure world reaches every line.
+        if (who == World::normal)
+            return spad_detail::firstNot(ids, n, World::normal);
+        if (params.domains == 2)
+            return n;
+        std::uint32_t i = 0;
+        while (i < n && (ids[i] == 0 || ids[i] == who.id))
+            ++i;
+        return i;
       }
     }
     return n;

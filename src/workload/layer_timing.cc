@@ -120,10 +120,8 @@ idImageFingerprint(NpuCore &core)
 {
     const auto &spad_ids = core.scratchpad().idImage();
     const auto &acc_ids = core.accumulator().idImage();
-    std::uint64_t h = hashBytesFast(spad_ids.data(),
-                                    spad_ids.size() * sizeof(World));
-    return hashBytesFast(acc_ids.data(),
-                         acc_ids.size() * sizeof(World), h);
+    std::uint64_t h = hashBytesFast(spad_ids.data(), spad_ids.size());
+    return hashBytesFast(acc_ids.data(), acc_ids.size(), h);
 }
 
 LayerTimingKey

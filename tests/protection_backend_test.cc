@@ -238,7 +238,7 @@ TEST_F(CryptoFixture, CounterCacheSecondTouchCheaper)
                                                 MemOp::read);
     // Identical transfer, same 4 KiB page: the only difference is
     // the counter line now hits in the cache.
-    EXPECT_EQ(first - second, p.counter_miss_penalty);
+    EXPECT_EQ(first - second, p.engine.counter_miss_penalty);
     EXPECT_EQ(crypto.counterMisses(), 1u);
     EXPECT_EQ(crypto.counterHits(), 1u);
 }
@@ -252,7 +252,7 @@ TEST_F(CryptoFixture, OverheadCountsEachTouchedPage)
     const Tick warm = crypto.transferOverhead(
         0, region_base + (1u << 12), 4 * (1u << 12), MemOp::read);
     const CryptoBackendParams p;
-    EXPECT_EQ(cold - warm, 4 * p.counter_miss_penalty);
+    EXPECT_EQ(cold - warm, 4 * p.engine.counter_miss_penalty);
 }
 
 TEST_F(CryptoFixture, MacGapScalesWithBytes)

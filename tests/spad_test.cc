@@ -290,8 +290,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Reference model for range access: the scratchpad as one call per
- * row, with the §IV-B rules and fault probes checked inline, driven
- * by the per-row caller loop that stops at the first failing row.
+ * row, with the §IV-B rules (over N domains, §VII) and fault probes
+ * checked inline, driven by the per-row caller loop that stops at
+ * the first failing row.
  */
 class RowModel
 {
@@ -303,7 +304,7 @@ class RowModel
     {
     }
 
-    SpadAccess read(World w, std::uint32_t first, std::uint32_t count,
+    SpadAccess read(Domain w, std::uint32_t first, std::uint32_t count,
                     std::uint8_t *dst)
     {
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -315,7 +316,7 @@ class RowModel
         return {SpadStatus::ok, count};
     }
 
-    SpadAccess write(World w, std::uint32_t first, std::uint32_t count,
+    SpadAccess write(Domain w, std::uint32_t first, std::uint32_t count,
                      const std::uint8_t *src)
     {
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -334,7 +335,7 @@ class RowModel
         for (const std::uint32_t row : written) {
             if (!out.empty() &&
                 out.back().first + out.back().count == row &&
-                out.back().world == ids[row]) {
+                out.back().domain == ids[row]) {
                 ++out.back().count;
             } else {
                 out.push_back({row, 1, ids[row]});
@@ -345,19 +346,25 @@ class RowModel
 
     SpadParams p;
     std::vector<std::uint8_t> data;
-    std::vector<World> ids;
+    std::vector<Domain> ids;
     FaultInjector *faults;
     std::set<std::uint32_t> written;
     double reads = 0, writes = 0, denied = 0, flips = 0, corrupted = 0;
 
   private:
-    bool allows(World w, std::uint32_t row) const
+    bool allows(Domain w, std::uint32_t row) const
     {
         return w == World::secure ? row < p.partition_boundary
                                   : row >= p.partition_boundary;
     }
 
-    void claim(std::uint32_t row, World w)
+    /** The global rule: domain w reaches rows tagged 0 or w. */
+    bool reaches(Domain w, std::uint32_t row) const
+    {
+        return ids[row] == World::normal || ids[row] == w;
+    }
+
+    void claim(std::uint32_t row, Domain w)
     {
         if (ids[row] != w) {
             ids[row] = w;
@@ -365,7 +372,7 @@ class RowModel
         }
     }
 
-    SpadStatus readRow(World w, std::uint32_t row, std::uint8_t *dst)
+    SpadStatus readRow(Domain w, std::uint32_t row, std::uint8_t *dst)
     {
         if (row >= p.rows)
             return SpadStatus::bad_index;
@@ -380,20 +387,20 @@ class RowModel
                 ++corrupted;
             }
         }
-        if (p.mode == IsolationMode::partition && !allows(w, row)) {
+        if (w.id >= p.domains ||
+            (p.mode == IsolationMode::partition && !allows(w, row))) {
             ++denied;
             return SpadStatus::security_violation;
         }
         if (p.mode == IsolationMode::id_based) {
             if (p.scope == SpadScope::local ? ids[row] != w
-                                            : ids[row] == World::secure &&
-                                                  w != World::secure) {
+                                            : !reaches(w, row)) {
                 ++denied;
                 return SpadStatus::security_violation;
             }
-            if (p.scope == SpadScope::global && w == World::secure &&
-                ids[row] != World::secure) {
-                claim(row, World::secure);
+            if (p.scope == SpadScope::global && w != World::normal &&
+                ids[row] != w) {
+                claim(row, w);
                 written.insert(row);
             }
         }
@@ -405,24 +412,25 @@ class RowModel
         return SpadStatus::ok;
     }
 
-    SpadStatus writeRow(World w, std::uint32_t row,
+    SpadStatus writeRow(Domain w, std::uint32_t row,
                         const std::uint8_t *src)
     {
         if (row >= p.rows)
             return SpadStatus::bad_index;
         ++writes;
-        if (p.mode == IsolationMode::partition && !allows(w, row)) {
+        if (w.id >= p.domains ||
+            (p.mode == IsolationMode::partition && !allows(w, row))) {
             ++denied;
             return SpadStatus::security_violation;
         }
         if (p.mode == IsolationMode::id_based) {
-            if (p.scope == SpadScope::global &&
-                ids[row] == World::secure && w != World::secure) {
+            if (p.scope == SpadScope::global && !reaches(w, row)) {
                 ++denied;
                 return SpadStatus::security_violation;
             }
-            if (p.scope == SpadScope::local || w == World::secure)
-                claim(row, w);
+            // A local write is forced; a global one claims an
+            // untagged row for a secure writer.
+            claim(row, w);
         }
         written.insert(row);
         if (src) {
@@ -441,12 +449,14 @@ statValue(const stats::Group &g, const char *name)
     return s ? s->value() : -1;
 }
 
-/** One differential case: a mode, a scope, and faults on or off. */
+/** One differential case: a mode, a scope, faults on or off, and
+ *  the number of hardware domains. */
 struct RangeCase
 {
     IsolationMode mode;
     SpadScope scope;
     bool faults;
+    std::uint32_t domains = 2;
 };
 
 class SpadRangeVsRows : public ::testing::TestWithParam<RangeCase>
@@ -457,6 +467,7 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
 {
     const RangeCase c = GetParam();
     SpadParams params = smallSpad(c.scope, c.mode);
+    params.domains = c.domains;
     if (c.mode == IsolationMode::partition)
         params.partition_boundary = 24;
 
@@ -481,9 +492,12 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
 
     const std::uint32_t rb = params.row_bytes;
     Rng rng(7 + static_cast<std::uint64_t>(c.mode) * 10 +
-            static_cast<std::uint64_t>(c.scope) * 100 + c.faults);
+            static_cast<std::uint64_t>(c.scope) * 100 + c.faults +
+            (c.domains - 2) * 1000);
     for (int op = 0; op < 3000; ++op) {
-        const World w = rng.chance(0.5) ? World::secure : World::normal;
+        // Now and then a domain the scratchpad does not have.
+        const Domain w(static_cast<std::uint8_t>(
+            rng.chance(0.05) ? c.domains : rng.below(c.domains)));
         // Ranges start anywhere up to past the end and may run off it.
         const auto first = static_cast<std::uint32_t>(rng.below(72));
         const auto count = static_cast<std::uint32_t>(rng.below(24));
@@ -507,7 +521,8 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
         }
         ASSERT_EQ(got.status, want.status) << "op " << op;
         ASSERT_EQ(got.rows, want.rows) << "op " << op;
-        ASSERT_EQ(spad.idImage(), model.ids) << "op " << op;
+        for (std::uint32_t r = 0; r < params.rows; ++r)
+            ASSERT_EQ(spad.idState(r), model.ids[r]) << "op " << op;
     }
 
     for (std::uint32_t r = 0; r < params.rows; ++r) {
@@ -523,7 +538,7 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
     for (std::size_t i = 0; i < recorded.size(); ++i) {
         EXPECT_EQ(recorded[i].first, expected[i].first);
         EXPECT_EQ(recorded[i].count, expected[i].count);
-        EXPECT_EQ(recorded[i].world, expected[i].world);
+        EXPECT_EQ(recorded[i].domain, expected[i].domain);
     }
 
     EXPECT_EQ(statValue(stats, "spad_reads"), model.reads);
@@ -561,6 +576,10 @@ allRangeCases()
                 out.push_back({mode, scope, faults});
         }
     }
+    for (SpadScope scope : {SpadScope::local, SpadScope::global}) {
+        for (bool faults : {false, true})
+            out.push_back({IsolationMode::id_based, scope, faults, 4});
+    }
     return out;
 }
 
@@ -572,6 +591,8 @@ PrintTo(const RangeCase &c, std::ostream *os)
                                                  : "id_based")
         << (c.scope == SpadScope::local ? "_local" : "_global")
         << (c.faults ? "_faults" : "");
+    if (c.domains != 2)
+        *os << "_" << c.domains << "domains";
 }
 
 INSTANTIATE_TEST_SUITE_P(ModesScopesFaults, SpadRangeVsRows,
