@@ -136,7 +136,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("attest_sweep")
+    ArgSpec("attest_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&seed)

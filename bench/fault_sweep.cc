@@ -139,7 +139,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("fault_sweep")
+    ArgSpec("fault_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&arrival_seed)

@@ -28,7 +28,6 @@
 
 #include "bench_util.hh"
 #include "core/systems.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "sim/sweep_runner.hh"
 
@@ -97,14 +96,6 @@ main(int argc, char **argv)
     }
 
     if (!filter.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(filter)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         filter.c_str(), reg.namesJoined().c_str());
-            return 2;
-        }
         std::vector<Series> kept;
         for (auto &s : series) {
             if (s.backend == filter)

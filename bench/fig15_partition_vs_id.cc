@@ -33,7 +33,6 @@
 
 #include "bench_util.hh"
 #include "core/systems.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "sim/sweep_runner.hh"
 
@@ -120,15 +119,6 @@ main(int argc, char **argv)
         .jobs(&jobs)
         .protection(&g_protection)
         .parse(argc, argv);
-    if (!g_protection.empty() &&
-        !ProtectionRegistry::global().known(g_protection)) {
-        std::fprintf(stderr,
-                     "unknown protection backend '%s' "
-                     "(registered: %s)\n",
-                     g_protection.c_str(),
-                     ProtectionRegistry::global().namesJoined().c_str());
-        return 2;
-    }
 
     banner("Figure 15", "Static partition vs ID-based dynamic "
                         "scratchpad isolation (pairs share DRAM)");

@@ -194,13 +194,12 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("fleet_sweep")
+    ArgSpec("fleet_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&arrival_seed)
-        .option("--socs", "SoCs in the fleet (default 16)", &n_socs)
-        .option("--requests", "requests per tenant (default 8)",
-                &n_requests)
+        .option("--socs", "SoCs in the fleet", &n_socs, 1)
+        .option("--requests", "requests per tenant", &n_requests, 1)
         .parse(argc, argv);
 
     SweepRunner runner(SweepOptions{jobs});

@@ -133,7 +133,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("serve_throughput")
+    ArgSpec("serve_throughput")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&seed)

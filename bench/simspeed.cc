@@ -641,7 +641,7 @@ main(int argc, char **argv)
     std::string json_path = "BENCH_simspeed.json";
     std::string label = "current";
     std::vector<char *> keep =
-        snpu::bench::ArgSpec("simspeed")
+        snpu::ArgSpec("simspeed")
             .json(&json_path)
             .option("--label", "label for the appended run record",
                     &label)

@@ -43,14 +43,12 @@
 #include "bench_util.hh"
 #include "core/systems.hh"
 #include "core/timing_cache.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "serve/server.hh"
 #include "sim/sweep_runner.hh"
 #include "workload/model_zoo.hh"
 
 using namespace snpu;
-using bench::ArgSpec;
 using bench::banner;
 using bench::big;
 using bench::JsonReport;
@@ -209,17 +207,8 @@ main(int argc, char **argv)
         {"crypto", SystemKind::normal_npu},
         {"passthrough", SystemKind::normal_npu},
     };
-    if (!filter.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(filter)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         filter.c_str(), reg.namesJoined().c_str());
-            return 2;
-        }
+    if (!filter.empty())
         backends = {{filter, kindFor(filter)}};
-    }
 
     SweepRunner runner(SweepOptions{jobs});
     std::fprintf(stderr, "token_throughput: %u host threads "

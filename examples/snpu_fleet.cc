@@ -10,24 +10,8 @@
  * Usage:
  *   snpu_fleet [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   socs=<n>                          (8)
- *   cores=<tiles per SoC>             (2)
- *   requests=<per tenant>             (8)
- *   load=<fraction of ideal capacity> (0.4)
- *   kill=<per-heartbeat crash odds>   (0.002)
- *     hangs ride at kill/4 and cordons at kill/8.
- *   mfail=<migration handshake failure odds> (0.08)
- *   failover=0|1                      (1)
- *   decode=0|1  every 4th+1 tenant generates tokens (1)
- *   secure=0|1  every 4th tenant secure (1)
- *   attest=0|1  measured-boot attestation at admission, plus a
- *         re-attestation of the target SoC before each migration (0)
- *   scale=<divisor for model dims>    (256)
- *   seed=<rng seed>                   (1)
- *   stats=0|1  dump the fleet stat group (0)
- *   stats_json=<file>  JSON dump of the fleet group (off)
- *   soc_stats=0|1  capture each SoC's stat tree (0)
+ * Every key, its values and its default are declared once in main();
+ * any argument it does not accept (say `--help`) prints that list.
  *
  * Examples:
  *   snpu_fleet socs=16 kill=0.003
@@ -45,7 +29,7 @@
 #include "fleet/fleet_controller.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -53,38 +37,52 @@
 
 using namespace snpu;
 
-namespace
-{
-
-/** Run the fleet; every key is read before the run. */
+// What the schema cannot check alone (a file that will not open, a
+// value only the simulator can validate) is fatal() in the
+// simulator: a usage error all the same, so it exits 2 too.
 int
-run(const Config &cfg)
-{
-    cfg.requireKnown({"socs", "cores", "requests", "load", "kill",
-                      "mfail", "failover", "decode", "secure", "attest",
-                      "scale", "seed", "stats", "stats_json",
-                      "soc_stats"});
+main(int argc, char **argv)
+try {
+    FleetConfig fc;
+    fc.num_socs = 8;
+    fc.server.num_cores = 2;
+    unsigned requests = 8;
+    double load = 0.4;
+    double kill = 0.002;
+    double mfail = 0.08;
+    bool decode = true;
+    bool secure = true;
+    unsigned scale = 256;
+    std::uint64_t seed = 1;
+    bool dump_stats = false;
+    std::string stats_json;
 
-    const std::uint32_t socs = cfg.getUint("socs", 8);
-    const std::uint32_t ncores = cfg.getUint("cores", 2);
-    const std::uint32_t requests = cfg.getUint("requests", 8);
-    const double load = cfg.getDouble("load", 0.4);
-    const double kill = cfg.getDouble("kill", 0.002);
-    const double mfail = cfg.getDouble("mfail", 0.08);
-    const bool failover = cfg.getBool("failover", true);
-    const bool decode = cfg.getBool("decode", true);
-    const bool secure = cfg.getBool("secure", true);
-    const bool attest = cfg.getBool("attest", false);
-    const std::uint32_t scale = cfg.getUint("scale", 256);
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    const bool soc_stats = cfg.getBool("soc_stats", false);
-    const bool dump_stats = cfg.getBool("stats", false);
-    const std::string stats_json = cfg.getString("stats_json", "");
-    if (socs == 0) {
-        std::fprintf(stderr, "socs= must be positive\n");
-        return 2;
-    }
+    ArgSpec("snpu_fleet")
+        .option("socs", "SoCs, one tenant homed on each", &fc.num_socs, 1)
+        .option("cores", "tiles per SoC", &fc.server.num_cores, 1,
+                SocParams().tiles)
+        .option("requests", "requests per tenant", &requests, 1)
+        .option("load", "offered load, a fraction of ideal capacity",
+                &load, ArgSpec::positive)
+        .option("kill", "per-heartbeat crash odds (hang: kill/4, "
+                        "cordon: kill/8)",
+                &kill, ArgSpec::unit)
+        .option("mfail", "migration handshake failure odds", &mfail,
+                ArgSpec::unit)
+        .option("failover", "migrate tenants off failed SoCs",
+                &fc.failover)
+        .option("decode", "every 4th+1 tenant generates tokens", &decode)
+        .option("secure", "every 4th tenant is secure", &secure)
+        .option("attest", "attest at admission and before migrations",
+                &fc.server.attestation)
+        .option("scale", "divisor for the model's M dims", &scale, 1)
+        .option("seed", "arrival and fault-plan RNG seed", &seed)
+        .option("stats", "dump the fleet stat group", &dump_stats)
+        .option("stats_json", "write the fleet stat group as JSON here",
+                &stats_json)
+        .option("soc_stats", "capture each SoC's stat tree",
+                &fc.capture_soc_stats)
+        .parse(argc, argv);
 
     // Unloaded service time of the shared tenant model, the
     // load-calibration unit.
@@ -95,10 +93,10 @@ run(const Config &cfg)
 
     // One bursty tenant per SoC; lower index = higher shed
     // priority.
-    const double gap = meanGapForLoad(load, 1, ncores, service);
-    std::vector<FleetTenantSpec> tenants(socs);
+    const double gap = meanGapForLoad(load, 1, fc.server.num_cores, service);
+    std::vector<FleetTenantSpec> tenants(fc.num_socs);
     Tick last_arrival = 0;
-    for (std::uint32_t t = 0; t < socs; ++t) {
+    for (std::uint32_t t = 0; t < fc.num_socs; ++t) {
         FleetTenantSpec &ft = tenants[t];
         char name[16];
         std::snprintf(name, sizeof(name), "t%u", t);
@@ -116,22 +114,18 @@ run(const Config &cfg)
         ft.spec.arrivals =
             burstyArrivals(rng, gap, 4.0, 3.0, requests);
         ft.home = t;
-        ft.priority = static_cast<std::int32_t>(socs - t);
+        ft.priority = static_cast<std::int32_t>(fc.num_socs - t);
         if (!ft.spec.arrivals.empty())
             last_arrival =
                 std::max(last_arrival, ft.spec.arrivals.back());
     }
 
-    FleetConfig fc;
-    fc.num_socs = socs;
     fc.soc = makeSystem(SystemKind::snpu);
     fc.server.policy = SchedPolicy::id_based;
-    fc.server.num_cores = ncores;
     fc.server.latency_hist_max = 64.0 * service;
     fc.server.latency_hist_buckets = 2048;
     fc.server.max_retries = 2;
     fc.server.retry_jitter = true;
-    fc.server.attestation = attest;
     fc.heartbeat_interval =
         std::max<Tick>(1, static_cast<Tick>(service / 8.0));
     fc.horizon = last_arrival + static_cast<Tick>(2.0 * service);
@@ -149,7 +143,6 @@ run(const Config &cfg)
     arm(FaultSite::soc_hang, kill / 4.0);
     arm(FaultSite::soc_degrade, kill / 8.0);
     arm(FaultSite::fleet_migration, mfail);
-    fc.failover = failover;
     fc.migration_backoff =
         std::max<Tick>(1, static_cast<Tick>(service / 16.0));
     fc.resettle_cycles =
@@ -157,13 +150,12 @@ run(const Config &cfg)
     fc.breaker_cooldown = static_cast<Tick>(2.0 * service);
     fc.latency_hist_max = 64.0 * service;
     fc.latency_hist_buckets = 2048;
-    fc.capture_soc_stats = soc_stats;
 
     std::printf("fleet: %u SoCs x %u tiles, load=%.2f, "
                 "kill=%.4f/heartbeat, mfail=%.2f, failover=%s, "
                 "%u req/tenant, seed=%llu\n",
-                socs, ncores, load, kill, mfail,
-                failover ? "on" : "off", requests,
+                fc.num_socs, fc.server.num_cores, load, kill, mfail,
+                fc.failover ? "on" : "off", requests,
                 static_cast<unsigned long long>(seed));
 
     FleetController fleet(fc);
@@ -236,23 +228,6 @@ run(const Config &cfg)
         std::printf("stats: %s\n", stats_json.c_str());
     }
     return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // Bad input (a malformed pair, an unknown key or value) is a
-    // usage error: exit 2, never abort.
-    try {
-        Config cfg;
-        for (int i = 1; i < argc; ++i)
-            cfg.parseArg(argv[i]);
-        return run(cfg);
-    } catch (const FatalError &) {
-        // fatal() has already printed the reason.
-        std::fprintf(stderr, "see the header comment for usage\n");
-        return 2;
-    }
+} catch (const FatalError &) {
+    return 2;
 }

@@ -1,31 +1,16 @@
 /**
  * @file
- * snpu_run — command-line driver for arbitrary configurations.
+ * snpu_run — command-line driver for arbitrary configurations: one
+ * model on one of the paper's systems (Normal NPU, TrustZone NPU,
+ * sNPU), under any registered protection backend, Table I scratchpad
+ * isolation or Fig 14 flush granularity, or pipelined across tiles
+ * over one of Fig 17's NoC modes.
  *
  * Usage:
  *   snpu_run [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   model=googlenet|alexnet|yololite|mobilenet|resnet|bert (resnet)
- *   system=normal|trustzone|snpu            (snpu)
- *   protection=<backend name>               (system default)
- *     any registered backend: passthrough|iommu|guarder|crypto
- *   world=normal|secure                     (normal)
- *   iotlb=<entries>                         (32, trustzone only)
- *   walk_cache=0|1                          (0)
- *   dma_channels=<n>                        (16)
- *   flush=none|tile|layer|layer5            (none)
- *   isolation=none|partition|id             (system default)
- *   partition_frac=<0..1>                   (0.5)
- *   encryption=0|1                          (0)
- *   scale=<divisor for M dims>              (1)
- *   cores=<n>  pipeline across n tiles      (1)
- *   noc=software|unauthorized|peephole      (peephole)
- *   stats=0|1  dump the full stat group     (0)
- *   stats_json=<file>  JSON stat dump       (off)
- *   trace_file=<file>  record a trace       (off)
- *   trace=<cats>  comma list: instr,dma,sec,noc,sched,guarder,
- *         spad,monitor,fault,serve,all      (instr,sec)
+ * Every key, its values and its default are declared once in main();
+ * any argument it does not accept (say `--help`) prints that list.
  *
  * Examples:
  *   snpu_run model=bert system=trustzone iotlb=4
@@ -36,180 +21,102 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 
 #include "core/scheduler.hh"
 #include "core/systems.hh"
 #include "core/task_runner.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
-#include <memory>
-
 using namespace snpu;
 
-namespace
-{
-
-/** Run the configuration; every key is read before the run. */
+// What the schema cannot check alone (a file that will not open, a
+// value only the simulator can validate) is fatal() in the
+// simulator: a usage error all the same, so it exits 2 too.
 int
-run(const Config &cfg)
-{
-    // The access_control= alias completed its deprecation cycle
-    // (DESIGN.md §3f): reject it with the migration hint instead of
-    // silently ignoring a key that used to select the backend.
-    if (!cfg.getString("access_control", "").empty()) {
-        std::fprintf(stderr, "snpu_run: access_control= was removed; "
-                             "use protection=\n");
-        return 2;
-    }
-    cfg.requireKnown({"model", "system", "protection", "world", "iotlb",
-                      "walk_cache", "dma_channels", "flush", "isolation",
-                      "partition_frac", "encryption", "scale", "cores",
-                      "noc", "stats", "stats_json", "trace_file",
-                      "trace"});
+main(int argc, char **argv)
+try {
+    ModelId model = ModelId::resnet;
+    SystemKind kind = SystemKind::snpu;
+    std::string protection;
+    World world = World::normal;
+    SocParams knobs; // iotlb, walk_cache, dma_channels, ... defaults
+    FlushGranularity flush = FlushGranularity::none;
+    std::optional<IsolationMode> isolation;
+    unsigned scale = 1;
+    unsigned cores = 1;
+    NocMode noc = NocMode::peephole;
+    bool dump_stats = false;
+    std::string stats_json;
+    std::string trace_file;
+    std::vector<std::uint32_t> trace{traceMask(TraceCategory::instr),
+                                     traceMask(TraceCategory::security)};
+    ArgSpec::Names<std::uint32_t> categories{{"all", ~0u}};
+    for (std::uint32_t c = 1; c <= traceMask(TraceCategory::serve); c <<= 1)
+        categories.push_back({traceCategoryName(TraceCategory(c)), c});
 
-    // System selection.
-    const std::string system_name = cfg.getString("system", "snpu");
-    SystemKind kind;
-    if (system_name == "normal")
-        kind = SystemKind::normal_npu;
-    else if (system_name == "trustzone")
-        kind = SystemKind::trustzone_npu;
-    else if (system_name == "snpu")
-        kind = SystemKind::snpu;
-    else {
-        std::fprintf(stderr, "unknown system '%s'\n",
-                     system_name.c_str());
-        return 2;
-    }
+    ArgSpec("snpu_run")
+        .choice("model", "DNN to run", &model,
+                ArgSpec::names(allModels(), modelName))
+        .choice("system", "Normal NPU, TrustZone NPU or sNPU", &kind,
+                {{"normal", SystemKind::normal_npu},
+                 {"trustzone", SystemKind::trustzone_npu},
+                 {"snpu", SystemKind::snpu}})
+        .backend("protection", "DMA protection (default: the system's)",
+                 &protection)
+        .choice("world", "world the task runs in", &world,
+                ArgSpec::names({World::normal, World::secure}, worldName))
+        .option("iotlb", "IOTLB entries", &knobs.iotlb_entries, 1)
+        .option("walk_cache", "warm IOMMU page-walk cache",
+                &knobs.iommu_walk_cache)
+        .option("dma_channels", "DMA channels per tile",
+                &knobs.dma_channels, 1)
+        .choice("flush", "scratchpad flush granularity", &flush,
+                ArgSpec::names({FlushGranularity::none, FlushGranularity::tile,
+                                FlushGranularity::layer,
+                                FlushGranularity::layer5},
+                               flushGranularityName))
+        .choice("isolation", "scratchpad isolation (default: the system's)",
+                &isolation,
+                {{"none", IsolationMode::none},
+                 {"partition", IsolationMode::partition},
+                 {"id", IsolationMode::id_based}})
+        .option("partition_frac", "secure share of a partitioned pad",
+                &knobs.partition_secure_frac, ArgSpec::unit)
+        .option("encryption", "encrypt DRAM", &knobs.memory_encryption)
+        .option("scale", "divisor for the model's M dims", &scale, 1)
+        .option("cores", "tiles to pipeline the model across", &cores, 1,
+                SocParams().tiles)
+        .choice("noc", "pipeline NoC mode", &noc,
+                ArgSpec::names({NocMode::software, NocMode::unauthorized,
+                                NocMode::peephole},
+                               nocModeName))
+        .option("stats", "dump the full stat group", &dump_stats)
+        .option("stats_json", "write the stat tree as JSON here",
+                &stats_json)
+        .option("trace_file", "record a trace here", &trace_file)
+        .list("trace", "trace categories", &trace, categories)
+        .parse(argc, argv);
 
     SocParams params = makeSystem(kind);
-
-    // Protection backend override, validated against the registry.
-    std::string protection = cfg.getString("protection", "");
-    if (!protection.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(protection)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         protection.c_str(),
-                         reg.namesJoined().c_str());
-            return 2;
-        }
+    if (!protection.empty())
         params.protection = protection;
-    }
-    if (kind == SystemKind::snpu && params.protection != "guarder") {
-        std::fprintf(stderr, "the snpu system requires the guarder "
-                             "backend; pick system=normal or "
-                             "system=trustzone with protection=%s\n",
-                     params.protection.c_str());
-        return 2;
-    }
+    params.iotlb_entries = knobs.iotlb_entries;
+    params.iommu_walk_cache = knobs.iommu_walk_cache;
+    params.dma_channels = knobs.dma_channels;
+    params.memory_encryption = knobs.memory_encryption;
+    params.partition_secure_frac = knobs.partition_secure_frac;
+    if (isolation)
+        params.spad_isolation = *isolation;
 
-    params.iotlb_entries = cfg.getUint("iotlb", params.iotlb_entries);
-    params.iommu_walk_cache = cfg.getBool("walk_cache", false);
-    params.dma_channels = cfg.getUint("dma_channels", params.dma_channels);
-    params.memory_encryption = cfg.getBool("encryption", false);
-    const std::string isolation = cfg.getString("isolation", "");
-    if (isolation == "none")
-        params.spad_isolation = IsolationMode::none;
-    else if (isolation == "partition")
-        params.spad_isolation = IsolationMode::partition;
-    else if (isolation == "id")
-        params.spad_isolation = IsolationMode::id_based;
-    else if (!isolation.empty()) {
-        std::fprintf(stderr, "unknown isolation '%s'\n",
-                     isolation.c_str());
-        return 2;
-    }
-    params.partition_secure_frac =
-        cfg.getDouble("partition_frac", params.partition_secure_frac);
-
-    FlushGranularity flush = FlushGranularity::none;
-    const std::string flush_name = cfg.getString("flush", "none");
-    if (flush_name == "tile")
-        flush = FlushGranularity::tile;
-    else if (flush_name == "layer")
-        flush = FlushGranularity::layer;
-    else if (flush_name == "layer5")
-        flush = FlushGranularity::layer5;
-    else if (flush_name != "none") {
-        std::fprintf(stderr, "unknown flush '%s'\n",
-                     flush_name.c_str());
-        return 2;
-    }
-
-    NocMode noc = NocMode::peephole;
-    const std::string noc_name = cfg.getString("noc", "peephole");
-    if (noc_name == "software")
-        noc = NocMode::software;
-    else if (noc_name == "unauthorized")
-        noc = NocMode::unauthorized;
-    else if (noc_name != "peephole") {
-        std::fprintf(stderr, "unknown noc '%s'\n", noc_name.c_str());
-        return 2;
-    }
-
-    // Task selection.
-    const std::string world = cfg.getString("world", "normal");
-    if (world != "normal" && world != "secure") {
-        std::fprintf(stderr, "unknown world '%s'\n", world.c_str());
-        return 2;
-    }
-    NpuTask task = NpuTask::fromModel(
-        modelByName(cfg.getString("model", "resnet")),
-        world == "secure" ? World::secure : World::normal);
-    const std::uint32_t scale = cfg.getUint("scale", 1);
-    if (scale > 1)
-        task.model = task.model.scaled(scale);
-    const std::uint32_t cores = cfg.getUint("cores", 1);
-    const bool dump_stats = cfg.getBool("stats", false);
-    const std::string stats_json = cfg.getString("stats_json", "");
-
-    // Optional execution trace.
-    const std::string trace_file = cfg.getString("trace_file", "");
+    NpuTask task = NpuTask::fromModel(model, world);
+    task.model = task.model.scaled(scale);
     std::uint32_t mask = 0;
-    if (!trace_file.empty()) {
-        std::string cats = cfg.getString("trace", "instr,sec");
-        cats += ',';
-        std::string token;
-        for (char ch : cats) {
-            if (ch != ',') {
-                token.push_back(ch);
-                continue;
-            }
-            if (token == "instr")
-                mask |= traceMask(TraceCategory::instr);
-            else if (token == "dma")
-                mask |= traceMask(TraceCategory::dma);
-            else if (token == "sec")
-                mask |= traceMask(TraceCategory::security);
-            else if (token == "noc")
-                mask |= traceMask(TraceCategory::noc);
-            else if (token == "sched")
-                mask |= traceMask(TraceCategory::sched);
-            else if (token == "guarder")
-                mask |= traceMask(TraceCategory::guarder);
-            else if (token == "spad")
-                mask |= traceMask(TraceCategory::spad);
-            else if (token == "monitor")
-                mask |= traceMask(TraceCategory::monitor);
-            else if (token == "fault")
-                mask |= traceMask(TraceCategory::fault);
-            else if (token == "serve")
-                mask |= traceMask(TraceCategory::serve);
-            else if (token == "all")
-                mask = ~0u;
-            else if (!token.empty()) {
-                std::fprintf(stderr, "unknown trace category '%s'\n",
-                             token.c_str());
-                return 2;
-            }
-            token.clear();
-        }
-    }
+    for (std::uint32_t category : trace)
+        mask |= category;
 
     Soc soc(params);
     TaskRunner runner(soc);
@@ -286,23 +193,6 @@ run(const Config &cfg)
                     trace_file.c_str());
     }
     return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // Bad input (a malformed pair, an unknown key or value) is a
-    // usage error: exit 2, never abort.
-    try {
-        Config cfg;
-        for (int i = 1; i < argc; ++i)
-            cfg.parseArg(argv[i]);
-        return run(cfg);
-    } catch (const FatalError &) {
-        // fatal() has already printed the reason.
-        std::fprintf(stderr, "see the header comment for usage\n");
-        return 2;
-    }
+} catch (const FatalError &) {
+    return 2;
 }

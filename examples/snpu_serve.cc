@@ -9,32 +9,8 @@
  * Usage:
  *   snpu_serve [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   tenants=<n>                       (4)
- *   models=<name,name,...>  tenant t runs models[t % k]
- *                                     (the whole zoo, in order)
- *   cores=<n>                         (2)
- *   load=<fraction of ideal capacity> (0.7)
- *   isolation=fine|coarse|partition|id (id)
- *   protection=<backend name>         (guarder)
- *     any registered backend. Non-guarder backends serve without
- *     the NPU Monitor, so secure= then defaults to 0.
- *   requests=<per tenant>             (16)
- *   secure=<first k tenants secure>   (tenants/2)
- *   capacity=<admission queue depth>  (8)
- *   scale=<divisor for M dims>        (16)
- *   seed=<rng seed>                   (1)
- *   attest=0|1  secure tenants must pass a measured-boot
- *         attestation handshake at admission (guarder only) (0)
- *   corrupt_boot=<stage>  tamper a boot stage before bring-up:
- *         rom-loader | trusted-firmware | teeos+npu-monitor (off)
- *   corrupt_byte=<n>  image byte the tamper flips (0)
- *   coarse_interval=<segments>        (5)
- *   stats=0|1  dump the full stat group (0)
- *   stats_json=<file>  JSON stat dump   (off)
- *   trace_file=<file>  record serve-path spans and scheduling
- *         decisions (serve+sched+monitor categories) (off)
- *   spans=0|1  per-tenant span summary  (0)
+ * Every key, its values and its default are declared once in main();
+ * any argument it does not accept (say `--help`) prints that list.
  *
  * Examples:
  *   snpu_serve tenants=4 cores=4 load=0.7 isolation=id
@@ -44,13 +20,14 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/systems.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/trace.hh"
@@ -58,99 +35,83 @@
 
 using namespace snpu;
 
-namespace
-{
-
-SchedPolicy
-policyByName(const std::string &name)
-{
-    if (name == "fine" || name == "flush_fine")
-        return SchedPolicy::flush_fine;
-    if (name == "coarse" || name == "flush_coarse")
-        return SchedPolicy::flush_coarse;
-    if (name == "partition" || name == "part")
-        return SchedPolicy::partition;
-    if (name == "id" || name == "id_based")
-        return SchedPolicy::id_based;
-    fatal("unknown isolation policy '", name, "'");
-}
-
-/** Serve the configuration; every key is read before the run. */
+// What the schema cannot check alone (a file that will not open, a
+// value only the simulator can validate) is fatal() in the
+// simulator: a usage error all the same, so it exits 2 too.
 int
-run(const Config &cfg)
-{
-    // The access_control= alias completed its deprecation cycle
-    // (DESIGN.md §3f): reject it with the migration hint instead of
-    // silently ignoring it.
-    if (!cfg.getString("access_control", "").empty()) {
-        std::fprintf(stderr, "snpu_serve: access_control= was "
-                             "removed; use protection=\n");
-        return 2;
-    }
-    cfg.requireKnown({"tenants", "models", "cores", "load", "isolation",
-                      "protection", "requests", "secure", "capacity",
-                      "scale", "seed", "attest", "corrupt_boot",
-                      "corrupt_byte", "coarse_interval", "stats",
-                      "stats_json", "trace_file", "spans"});
-
-    const std::uint32_t ntenants = cfg.getUint("tenants", 4);
-    const std::uint32_t ncores = cfg.getUint("cores", 2);
-    const double load = cfg.getDouble("load", 0.7);
-    const std::string isolation = cfg.getString("isolation", "id");
-    const std::uint32_t requests = cfg.getUint("requests", 16);
-
-    // Protection backend selection. Secure tenants need the NPU
-    // Monitor, which only the guarder system carries, so non-guarder
-    // runs default secure=0.
-    std::string protection = cfg.getString("protection", "guarder");
-    ProtectionRegistry &reg = ProtectionRegistry::global();
-    if (!reg.known(protection)) {
-        std::fprintf(stderr,
-                     "unknown protection backend '%s' "
-                     "(registered: %s)\n",
-                     protection.c_str(), reg.namesJoined().c_str());
-        return 2;
-    }
-    const bool guarded = protection == "guarder";
-    const std::uint32_t secure =
-        cfg.getUint("secure", guarded ? ntenants / 2 : 0);
-    if (!guarded && secure > 0) {
-        std::fprintf(stderr, "secure tenants need the NPU Monitor "
-                             "(protection=guarder)\n");
-        return 2;
-    }
-    const std::uint32_t capacity = cfg.getUint("capacity", 8);
-    const std::uint32_t scale = cfg.getUint("scale", 16);
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    const bool attest = cfg.getBool("attest", false);
-    if (attest && !guarded) {
-        std::fprintf(stderr, "attestation quotes come from the NPU "
-                             "Monitor (protection=guarder)\n");
-        return 2;
-    }
-
+main(int argc, char **argv)
+try {
+    unsigned ntenants = 4;
+    std::vector<ModelId> zoo = allModels();
     ServerConfig server_cfg;
-    server_cfg.policy = policyByName(isolation);
-    server_cfg.num_cores = ncores;
-    server_cfg.coarse_interval = cfg.getUint("coarse_interval", 5);
-    server_cfg.attestation = attest;
-    const bool dump_stats = cfg.getBool("stats", false);
-    const std::string stats_json = cfg.getString("stats_json", "");
-    const std::string trace_file = cfg.getString("trace_file", "");
-    const bool spans = cfg.getBool("spans", false);
+    server_cfg.num_cores = 2;
+    double load = 0.7;
+    std::string protection = "guarder";
+    unsigned requests = 16;
+    std::optional<unsigned> secure_arg;
+    unsigned capacity = 8;
+    unsigned scale = 16;
+    std::uint64_t seed = 1;
+    std::string corrupt_boot;
+    unsigned corrupt_byte = 0;
+    bool dump_stats = false;
+    std::string stats_json;
+    std::string trace_file;
+    bool spans = false;
 
-    // Tenants cycle through the model zoo (models=, else the whole
-    // zoo in order).
-    std::vector<ModelId> zoo;
-    std::string names = cfg.getString("models", "");
-    while (!names.empty()) {
-        const std::size_t comma = names.find(',');
-        zoo.push_back(modelByName(names.substr(0, comma)));
-        names = comma == std::string::npos
-                    ? std::string()
-                    : names.substr(comma + 1);
+    ArgSpec args("snpu_serve");
+    args.option("tenants", "tenants to serve", &ntenants, 1)
+        .list("models", "tenant t runs models[t % k] (empty: all)", &zoo,
+              ArgSpec::names(allModels(), modelName))
+        .option("cores", "tiles to serve on", &server_cfg.num_cores, 1,
+                SocParams().tiles)
+        .option("load", "offered load, a fraction of ideal capacity",
+                &load, ArgSpec::positive)
+        .choice("isolation", "Table I isolation policy", &server_cfg.policy,
+                {{"fine", SchedPolicy::flush_fine},
+                 {"flush_fine", SchedPolicy::flush_fine},
+                 {"coarse", SchedPolicy::flush_coarse},
+                 {"flush_coarse", SchedPolicy::flush_coarse},
+                 {"partition", SchedPolicy::partition},
+                 {"part", SchedPolicy::partition},
+                 {"id", SchedPolicy::id_based},
+                 {"id_based", SchedPolicy::id_based}})
+        .backend("protection", "protection backend", &protection)
+        .option("requests", "requests per tenant", &requests, 1)
+        .option("secure", "the first k tenants are secure "
+                          "(default: half under the guarder, else 0)",
+                &secure_arg)
+        .option("capacity", "admission queue depth", &capacity)
+        .option("scale", "divisor for the models' M dims", &scale, 1)
+        .option("seed", "arrival RNG seed", &seed)
+        .option("attest", "attest secure tenants' boot at admission",
+                &server_cfg.attestation)
+        .option("corrupt_boot", "boot stage to tamper with: rom-loader, "
+                                "trusted-firmware or teeos+npu-monitor",
+                &corrupt_boot)
+        .option("corrupt_byte", "image byte the tamper flips",
+                &corrupt_byte)
+        .option("coarse_interval", "segments between coarse flushes",
+                &server_cfg.coarse_interval, 1)
+        .option("stats", "dump the full stat group", &dump_stats)
+        .option("stats_json", "write the stat tree as JSON here",
+                &stats_json)
+        .option("trace_file", "record serve, sched and monitor traces here",
+                &trace_file)
+        .option("spans", "print the per-tenant span summary", &spans)
+        .parse(argc, argv);
+
+    // Secure tenants and attestation quotes need the NPU Monitor,
+    // which only the guarder system carries, so non-guarder runs
+    // default secure=0.
+    const bool guarded = protection == "guarder";
+    const unsigned secure = secure_arg.value_or(guarded ? ntenants / 2 : 0);
+    if (secure > ntenants) {
+        args.fail("secure=" + std::to_string(secure) +
+                  " exceeds tenants=" + std::to_string(ntenants));
     }
+    if (!guarded && (secure > 0 || server_cfg.attestation))
+        args.fail("secure=/attest= need the NPU Monitor (protection=guarder)");
     if (zoo.empty())
         zoo = allModels();
 
@@ -162,8 +123,8 @@ run(const Config &cfg)
                                  ? SystemKind::trustzone_npu
                                  : SystemKind::normal_npu);
     soc_params.protection = protection;
-    soc_params.boot_corrupt_stage = cfg.getString("corrupt_boot", "");
-    soc_params.boot_corrupt_byte = cfg.getUint("corrupt_byte", 0);
+    soc_params.boot_corrupt_stage = corrupt_boot;
+    soc_params.boot_corrupt_byte = corrupt_byte;
     Soc soc(soc_params);
     if (soc.hasMonitor() && !soc.bootReport().ok) {
         std::printf("measured boot HALTED at stage '%s' — the "
@@ -202,7 +163,7 @@ run(const Config &cfg)
     // tenant proportionally instead of drowning the slow models.
     for (std::uint32_t t = 0; t < ntenants; ++t) {
         const double gap =
-            meanGapForLoad(load, ntenants, ncores, service[t]);
+            meanGapForLoad(load, ntenants, server_cfg.num_cores, service[t]);
         Rng rng(seed * 0x9e3779b97f4a7c15ULL + t);
         tenants[t].arrivals = poissonArrivals(rng, gap, requests);
     }
@@ -210,7 +171,7 @@ run(const Config &cfg)
     std::printf("serving %u tenants (%u secure) on %u tiles, "
                 "policy=%s, offered load=%.2f, %u req/tenant, "
                 "seed=%llu\n",
-                ntenants, secure, ncores,
+                ntenants, secure, server_cfg.num_cores,
                 schedPolicyName(server_cfg.policy), load, requests,
                 static_cast<unsigned long long>(seed));
 
@@ -259,7 +220,7 @@ run(const Config &cfg)
                 static_cast<unsigned long long>(
                     res.monitor_overhead));
 
-    if (attest) {
+    if (server_cfg.attestation) {
         std::printf("\n%-14s %8s %7s %7s %10s\n", "tenant",
                     "attested", "hshake", "denied", "cycles");
         for (const TenantReport &rep : res.tenants) {
@@ -311,23 +272,6 @@ run(const Config &cfg)
                     trace_file.c_str());
     }
     return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // Bad input (a malformed pair, an unknown key or value) is a
-    // usage error: exit 2, never abort.
-    try {
-        Config cfg;
-        for (int i = 1; i < argc; ++i)
-            cfg.parseArg(argv[i]);
-        return run(cfg);
-    } catch (const FatalError &) {
-        // fatal() has already printed the reason.
-        std::fprintf(stderr, "see the header comment for usage\n");
-        return 2;
-    }
+} catch (const FatalError &) {
+    return 2;
 }

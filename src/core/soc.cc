@@ -68,12 +68,9 @@ Soc::Soc(SocParams params)
                                              mem_params);
 
     // The protection backend comes from the registry by name; the
-    // SoC never branches on a backend kind.
+    // SoC never branches on a backend kind. An unregistered name is
+    // fatal at the first lookup, with the registered-name list.
     ProtectionRegistry &reg = ProtectionRegistry::global();
-    if (!reg.known(cfg.protection)) {
-        fatal("unknown protection backend '", cfg.protection,
-              "' (registered: ", reg.namesJoined(), ")");
-    }
 
     // Page tables live in a dedicated arena at the bottom of the
     // normal NPU region (the driver's job on real systems). Only

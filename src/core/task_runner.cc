@@ -178,8 +178,12 @@ TaskRunner::runPipeline(const NpuTask &task,
                         NocMode noc, std::uint32_t num_stages)
 {
     PipelineResult result;
-    if (cores.empty()) {
-        result.status = Status::invalidArgument("no cores");
+    const std::uint32_t tiles = soc.params().tiles;
+    if (cores.empty() ||
+        *std::max_element(cores.begin(), cores.end()) >= tiles) {
+        result.status = Status::invalidArgument(
+            "pipeline needs core ids, each below the " +
+            std::to_string(tiles) + " tiles");
         return result;
     }
 

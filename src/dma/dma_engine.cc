@@ -22,6 +22,10 @@ DmaEngine::DmaEngine(stats::Group &stats, MemSystem &mem,
 {
     if (params.packet_bytes == 0)
         fatal("DMA packet size must be positive");
+    // A batched load moves up to `channels` requests; with none, a
+    // program would stall on its first mvin and report 0 cycles.
+    if (params.channels == 0)
+        fatal("DMA engine needs at least one channel");
 }
 
 void

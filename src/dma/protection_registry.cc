@@ -75,20 +75,16 @@ ProtectionRegistry::add(const std::string &name, bool needs_page_table,
     entries.emplace(name, std::move(entry));
 }
 
-bool
-ProtectionRegistry::known(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return entries.count(name) != 0;
-}
-
 const ProtectionRegistry::Entry &
 ProtectionRegistry::lookup(const std::string &name) const
 {
     auto it = entries.find(name);
     if (it == entries.end()) {
+        std::string joined;
+        for (const std::string &known : namesLocked())
+            joined += (joined.empty() ? "" : ", ") + known;
         fatal("unknown protection backend '", name,
-              "' (registered: ", namesJoinedLocked(), ")");
+              "' (registered: ", joined, ")");
     }
     return it->second;
 }
@@ -104,32 +100,16 @@ std::vector<std::string>
 ProtectionRegistry::names() const
 {
     std::lock_guard<std::mutex> lock(mutex);
+    return namesLocked();
+}
+
+std::vector<std::string>
+ProtectionRegistry::namesLocked() const
+{
     std::vector<std::string> out(entries.size());
     for (const auto &[name, entry] : entries)
         out[entry.order] = name;
     return out;
-}
-
-std::string
-ProtectionRegistry::namesJoinedLocked() const
-{
-    std::vector<std::string> ordered(entries.size());
-    for (const auto &[name, entry] : entries)
-        ordered[entry.order] = name;
-    std::string joined;
-    for (const auto &name : ordered) {
-        if (!joined.empty())
-            joined += ", ";
-        joined += name;
-    }
-    return joined;
-}
-
-std::string
-ProtectionRegistry::namesJoined() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return namesJoinedLocked();
 }
 
 std::unique_ptr<ProtectionBackend>

@@ -71,19 +71,15 @@ class ProtectionRegistry
     void add(const std::string &name, bool needs_page_table,
              Factory factory);
 
-    bool known(const std::string &name) const;
     bool needsPageTable(const std::string &name) const;
 
     /** Registered names in registration order. */
     std::vector<std::string> names() const;
 
-    /** Registered names joined for error messages. */
-    std::string namesJoined() const;
-
     /**
      * Build backend @p name. Unknown names are fatal and the error
-     * lists every registered name — user input should be validated
-     * with known() first for a friendlier exit.
+     * lists every registered name; command lines check the name
+     * first (ArgSpec::backend) for a friendlier exit.
      */
     std::unique_ptr<ProtectionBackend>
     build(const std::string &name,
@@ -99,7 +95,7 @@ class ProtectionRegistry
 
     /** Both require the caller to hold the mutex. */
     const Entry &lookup(const std::string &name) const;
-    std::string namesJoinedLocked() const;
+    std::vector<std::string> namesLocked() const;
 
     mutable std::mutex mutex;
     std::map<std::string, Entry> entries;

@@ -32,16 +32,6 @@ modelName(ModelId id)
     return "?";
 }
 
-ModelId
-modelByName(const std::string &name)
-{
-    for (ModelId id : allModels()) {
-        if (name == modelName(id))
-            return id;
-    }
-    fatal("unknown model: ", name);
-}
-
 namespace
 {
 
@@ -260,16 +250,6 @@ makeDecoder(DecoderId id)
         break;
     }
     return d;
-}
-
-DecoderId
-decoderByName(const std::string &name)
-{
-    for (DecoderId id : allDecoders()) {
-        if (name == decoderName(id))
-            return id;
-    }
-    fatal("unknown decoder: ", name);
 }
 
 namespace

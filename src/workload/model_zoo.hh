@@ -38,9 +38,6 @@ const char *modelName(ModelId id);
 /** Build the layer list for @p id. */
 ModelSpec makeModel(ModelId id);
 
-/** Parse a model name; fatal on unknown names. */
-ModelId modelByName(const std::string &name);
-
 /**
  * Transformer decoder configuration for LLM serving: a prefill phase
  * processes the whole prompt at once (BERT-like full-sequence GEMMs),
@@ -87,9 +84,6 @@ enum class DecoderId
 std::vector<DecoderId> allDecoders();
 const char *decoderName(DecoderId id);
 DecoderSpec makeDecoder(DecoderId id);
-
-/** Parse a decoder name; fatal on unknown names. */
-DecoderId decoderByName(const std::string &name);
 
 /** Prefill phase: full-prompt GEMMs over every block. */
 ModelSpec makePrefill(const DecoderSpec &d);

@@ -98,6 +98,15 @@ TEST(SocSecurity, SnpuRequiresGuarderAccessControl)
     EXPECT_THROW(Soc soc(params), FatalError);
 }
 
+TEST(SocBuild, ZeroDmaChannelsAreFatal)
+{
+    // With no channel a batched load moves nothing: the program would
+    // stop at its first mvin with an ok status and 0 cycles.
+    SocParams params = makeSystem(SystemKind::snpu);
+    params.dma_channels = 0;
+    EXPECT_THROW(Soc soc(params), FatalError);
+}
+
 TEST(SocConfig, DerivedValues)
 {
     SocParams params = makeSystem(SystemKind::snpu);

@@ -83,6 +83,16 @@ TEST(Pipeline, EmptyCoreListRejected)
     EXPECT_FALSE(res.ok());
 }
 
+TEST(Pipeline, CoreBeyondTilesRejected)
+{
+    auto soc = buildSoc(SystemKind::snpu);
+    const std::uint32_t tiles = soc->params().tiles;
+    PipelineResult res = TaskRunner(*soc).runPipeline(
+        smallTask(), {0, tiles}, NocMode::peephole);
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.status.code(), StatusCode::invalid_argument);
+}
+
 TEST(Pipeline, SecureTaskPipelinesUnderPeephole)
 {
     auto soc = buildSoc(SystemKind::snpu);

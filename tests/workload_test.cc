@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "workload/compiler.hh"
 #include "workload/mapping.hh"
@@ -32,9 +33,19 @@ TEST(ModelZoo, AllModelsBuild)
 
 TEST(ModelZoo, NameRoundTrip)
 {
-    for (ModelId id : allModels())
-        EXPECT_EQ(modelByName(modelName(id)), id);
-    EXPECT_THROW(modelByName("vgg"), FatalError);
+    // Command lines parse a model from the name it prints under.
+    for (ModelId id : allModels()) {
+        ModelId parsed =
+            id == ModelId::bert ? ModelId::resnet : ModelId::bert;
+        std::string arg = std::string("model=") + modelName(id);
+        char prog[] = "test";
+        char *argv[] = {prog, arg.data()};
+        ArgSpec("test")
+            .choice("model", "model", &parsed,
+                    ArgSpec::names(allModels(), modelName))
+            .parse(2, argv);
+        EXPECT_EQ(parsed, id);
+    }
 }
 
 TEST(ModelZoo, WeightFootprintsDiffer)
