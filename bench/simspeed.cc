@@ -30,10 +30,12 @@
 #include "mem/mem_system.hh"
 #include "mem/phys_mem.hh"
 #include "noc/mesh.hh"
+#include "npu/npu_core.hh"
 #include "npu/systolic_model.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
 #include "sim/event_queue.hh"
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "spad/scratchpad.hh"
@@ -348,6 +350,93 @@ BM_SystolicComputeRow(benchmark::State &state)
         p.dim);
 }
 BENCHMARK(BM_SystolicComputeRow);
+
+// ---------------------------------------------------------------
+// Fault probes
+// ---------------------------------------------------------------
+
+/** The serving sweeps' scratchpad arming: a per-read bit-flip
+ *  probability on spad_bit_flip, no ID-mismatch spec. */
+FaultPlan
+bitFlipPlan()
+{
+    FaultPlan plan;
+    FaultSpec flip;
+    flip.site = FaultSite::spad_bit_flip;
+    flip.trigger = FaultTrigger::probability;
+    flip.probability = 1e-5;
+    flip.max_fires = 0;
+    plan.faults.push_back(flip);
+    return plan;
+}
+
+/**
+ * A 64-row scratchpad read under a probability-armed injector: two
+ * probes per row (the unarmed ID-mismatch site and one bit-flip
+ * draw). One "item" is one row read.
+ */
+void
+BM_SpadReadArmed(benchmark::State &state)
+{
+    constexpr std::uint32_t rows = 64;
+    stats::Group stats("g");
+    SpadParams p;
+    p.rows = 16384;
+    Scratchpad spad(stats, p);
+    FaultInjector inj(bitFlipPlan());
+    spad.armFaults(&inj);
+    std::uint32_t first = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            spad.read(World::normal, first, rows, nullptr));
+        first = (first + rows) % p.rows;
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * rows);
+}
+BENCHMARK(BM_SpadReadArmed);
+
+/**
+ * An accumulating compute of 256 rows (after its weight preload) on
+ * one NPU core under a probability-armed injector: every activation
+ * and accumulator row read is probed. One "item" is one compute row.
+ */
+void
+BM_ComputeArmed(benchmark::State &state)
+{
+    constexpr std::uint32_t rows = 256;
+    stats::Group stats("g");
+    MemSystem mem(stats);
+    PassThroughControl pass;
+    NpuCoreParams cp;
+    cp.timing_only = false;
+    NpuCore core(stats, mem, pass, cp);
+    FaultInjector inj(bitFlipPlan());
+    core.armFaults(&inj);
+
+    NpuProgram prog;
+    Instr preload;
+    preload.op = Opcode::preload;
+    preload.spad_row = 0;
+    prog.code.push_back(preload);
+    Instr compute;
+    compute.op = Opcode::compute;
+    compute.spad_row = 1024;
+    compute.spad_row2 = 0;
+    compute.rows = rows;
+    compute.accumulate = true;
+    prog.code.push_back(compute);
+
+    Tick t = 0;
+    for (auto _ : state) {
+        const ExecResult res = core.run(t, prog);
+        benchmark::DoNotOptimize(res.macs);
+        t = res.end;
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * rows);
+}
+BENCHMARK(BM_ComputeArmed);
 
 // ---------------------------------------------------------------
 // Serve-path macro-benchmarks

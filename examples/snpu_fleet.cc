@@ -84,6 +84,15 @@ try {
                 &fc.capture_soc_stats)
         .parse(argc, argv);
 
+    // Open the stats file before simulating, as the trace file is:
+    // an unwritable path is bad input, not a wasted run.
+    std::ofstream stats_os;
+    if (!stats_json.empty()) {
+        stats_os.open(stats_json);
+        if (!stats_os)
+            fatal("cannot write stats file: ", stats_json);
+    }
+
     // Unloaded service time of the shared tenant model, the
     // load-calibration unit.
     NpuTask probe = NpuTask::fromModel(ModelId::mobilenet);
@@ -217,14 +226,8 @@ try {
         fleet.fleetStats().group.dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    if (!stats_json.empty()) {
-        std::ofstream os(stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        fleet.registry().dumpJson(os);
+    if (stats_os.is_open()) {
+        fleet.registry().dumpJson(stats_os);
         std::printf("stats: %s\n", stats_json.c_str());
     }
     return 0;

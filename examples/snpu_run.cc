@@ -101,6 +101,15 @@ try {
         .list("trace", "trace categories", &trace, categories)
         .parse(argc, argv);
 
+    // Open the stats file before simulating, as the trace file is:
+    // an unwritable path is bad input, not a wasted run.
+    std::ofstream stats_os;
+    if (!stats_json.empty()) {
+        stats_os.open(stats_json);
+        if (!stats_os)
+            fatal("cannot write stats file: ", stats_json);
+    }
+
     SocParams params = makeSystem(kind);
     if (!protection.empty())
         params.protection = protection;
@@ -176,14 +185,8 @@ try {
 
     if (dump_stats)
         soc.stats().dump(std::cout);
-    if (!stats_json.empty()) {
-        std::ofstream os(stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        soc.registry().dumpJson(os);
+    if (stats_os.is_open()) {
+        soc.registry().dumpJson(stats_os);
         std::printf("stats: %s\n", stats_json.c_str());
     }
     if (trace_sink) {

@@ -115,6 +115,15 @@ try {
     if (zoo.empty())
         zoo = allModels();
 
+    // Open the stats file before simulating, as the trace file is:
+    // an unwritable path is bad input, not a wasted run.
+    std::ofstream stats_os;
+    if (!stats_json.empty()) {
+        stats_os.open(stats_json);
+        if (!stats_os)
+            fatal("cannot write stats file: ", stats_json);
+    }
+
     // The guarder serves on the full sNPU system (with the monitor);
     // other backends serve on the system they belong to.
     SocParams soc_params =
@@ -255,14 +264,8 @@ try {
         soc.stats().dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    if (!stats_json.empty()) {
-        std::ofstream os(stats_json);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         stats_json.c_str());
-            return 1;
-        }
-        soc.registry().dumpJson(os);
+    if (stats_os.is_open()) {
+        soc.registry().dumpJson(stats_os);
         std::printf("stats: %s\n", stats_json.c_str());
     }
     if (trace_sink) {

@@ -249,10 +249,16 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
     // alone, which leaves its effects in the per-row order
     // (activation read, accumulator read, accumulator write). An
     // armed injector probes every row read, and the accumulator's
-    // probes must interleave with the scratchpad's (spad r, acc r,
-    // spad r+1, ...), so an accumulating compute then steps one row
-    // at a time.
-    const std::uint32_t step = faults && in.accumulate ? 1 : in.rows;
+    // probes interleave with the scratchpad's (spad r, acc r,
+    // spad r+1, ...): a multi-row accumulating step probes its row
+    // pairs in that order up front, and its flips land before the
+    // GEMM as they would row by row. Only an armed ID mismatch,
+    // which can stop a read mid-step, makes it step one row at a
+    // time.
+    const bool paired = faults && in.accumulate;
+    const std::uint32_t step =
+        paired && faults->armed(FaultSite::spad_id_mismatch) ? 1
+                                                              : in.rows;
     for (std::uint32_t r = 0; r < in.rows;) {
         const std::uint32_t a_first = in.spad_row + r;
         const std::uint32_t c_first = in.spad_row2 + r;
@@ -264,13 +270,18 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
             n = std::max(acc->admits(world, c_first, n, SpadOp::write),
                          1u);
         }
+        const bool probed = paired && n > 1;
+        if (probed)
+            Scratchpad::probeReadPairs(*spad, a_first, *acc, c_first, n);
 
         // An injected ID mismatch can stop the activation read
         // early; the rows before it still complete.
-        const SpadAccess a_in = spad->read(world, a_first, n, nullptr);
+        const SpadAccess a_in =
+            spad->read(world, a_first, n, nullptr, probed);
         const SpadAccess c_in =
-            in.accumulate ? acc->read(world, c_first, a_in.rows, nullptr)
-                          : SpadAccess{SpadStatus::ok, a_in.rows};
+            in.accumulate
+                ? acc->read(world, c_first, a_in.rows, nullptr, probed)
+                : SpadAccess{SpadStatus::ok, a_in.rows};
         const SpadAccess c_out =
             acc->write(world, c_first, c_in.rows, nullptr);
         if (!params.timing_only)

@@ -45,6 +45,13 @@ FaultInjector::FaultInjector(FaultPlan plan)
     : _plan(std::move(plan)), rng(_plan.seed),
       fires_per_spec(_plan.faults.size(), 0)
 {
+    for (std::uint32_t i = 0; i < _plan.faults.size(); ++i) {
+        const FaultSpec &spec = _plan.faults[i];
+        const auto s = static_cast<std::size_t>(spec.site);
+        site_specs[s].push_back(i);
+        armed_sites |= 1u << s;
+        thresholds.push_back(Rng::chanceThreshold(spec.probability));
+    }
 }
 
 std::uint64_t
@@ -63,15 +70,11 @@ FaultInjector::reset()
 }
 
 bool
-FaultInjector::shouldInject(FaultSite site, Tick now)
+FaultInjector::fire(FaultSite site, std::uint64_t occ, Tick now)
 {
-    const std::uint64_t occ = ++counts[static_cast<std::size_t>(site)];
-
-    bool fire = false;
-    for (std::size_t i = 0; i < _plan.faults.size(); ++i) {
+    bool any = false;
+    for (const std::uint32_t i : site_specs[static_cast<std::size_t>(site)]) {
         const FaultSpec &spec = _plan.faults[i];
-        if (spec.site != site)
-            continue;
         if (spec.max_fires != 0 &&
             fires_per_spec[i] >= spec.max_fires) {
             continue;
@@ -89,18 +92,56 @@ FaultInjector::shouldInject(FaultSite site, Tick now)
             // The draw happens whether or not it hits, so the random
             // stream advances identically across runs of the same
             // plan regardless of which specs fire.
-            hit = rng.chance(spec.probability);
+            hit = rng.hits(thresholds[i]);
             break;
         }
         if (hit) {
             ++fires_per_spec[i];
-            fire = true;
+            any = true;
         }
     }
 
-    if (fire)
+    if (any)
         log.push_back(FaultRecord{site, now, occ});
-    return fire;
+    return any;
+}
+
+std::uint64_t
+FaultInjector::probeUntilFire(FaultSite site, std::uint64_t n, Tick now)
+{
+    std::uint64_t &count = counts[static_cast<std::size_t>(site)];
+    if (!armed(site)) {
+        count += n;
+        return n;
+    }
+
+    // The common armed case, one probability spec with fires left:
+    // one draw per occurrence and nothing else. The range stops at
+    // the first fire, so the budget cannot run out inside it.
+    const std::vector<std::uint32_t> &specs =
+        site_specs[static_cast<std::size_t>(site)];
+    const std::uint32_t first = specs.front();
+    const FaultSpec &spec = _plan.faults[first];
+    if (specs.size() == 1 && spec.trigger == FaultTrigger::probability &&
+        (spec.max_fires == 0 || fires_per_spec[first] < spec.max_fires)) {
+        const double threshold = thresholds[first];
+        for (std::uint64_t i = 0; i < n; ++i) {
+            if (rng.hits(threshold)) {
+                count += i + 1;
+                ++fires_per_spec[first];
+                log.push_back(FaultRecord{site, now, count});
+                return i;
+            }
+        }
+        count += n;
+        return n;
+    }
+
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (fire(site, ++count, now))
+            return i;
+    }
+    return n;
 }
 
 } // namespace snpu

@@ -90,6 +90,7 @@ enum class FaultSite : std::uint8_t
 };
 
 constexpr std::size_t fault_site_count = 15;
+static_assert(fault_site_count <= 32, "armed sites are a 32-bit mask");
 
 const char *faultSiteName(FaultSite site);
 
@@ -140,6 +141,10 @@ struct FaultRecord
  * whether any spec fires there. Occurrence counting and Rng draws
  * happen in simulation call order, which is deterministic, so the
  * same plan always faults the same operations.
+ *
+ * A site no spec names is unarmed: probing it only counts. Row-range
+ * accesses probe a run of occurrences at once with probeUntilFire(),
+ * which draws exactly what the same number of single probes would.
  */
 class FaultInjector
 {
@@ -150,7 +155,25 @@ class FaultInjector
      * Probe a site at simulated time @p now. Sites with no natural
      * timebase pass 0 (tick-window triggers then never match them).
      */
-    bool shouldInject(FaultSite site, Tick now);
+    bool shouldInject(FaultSite site, Tick now)
+    {
+        const std::uint64_t occ = ++counts[static_cast<std::size_t>(site)];
+        return armed(site) && fire(site, occ, now);
+    }
+
+    /**
+     * Probe @p n occurrences of @p site at @p now in order, stopping
+     * after the first that fires: the same counts, draws and log as
+     * shouldInject() called until it returns true or @p n times.
+     * @return the offset of the occurrence that fired, or @p n.
+     */
+    std::uint64_t probeUntilFire(FaultSite site, std::uint64_t n, Tick now);
+
+    /** Whether any spec of the plan names @p site. */
+    bool armed(FaultSite site) const
+    {
+        return (armed_sites >> static_cast<unsigned>(site)) & 1;
+    }
 
     /** Occurrences probed so far at @p site (fired or not). */
     std::uint64_t occurrences(FaultSite site) const;
@@ -167,9 +190,19 @@ class FaultInjector
     const FaultPlan &plan() const { return _plan; }
 
   private:
+    /** Run @p site's specs, in plan order, for its occurrence
+     *  @p occ; log and report a fire. */
+    bool fire(FaultSite site, std::uint64_t occ, Tick now);
+
     FaultPlan _plan;
     Rng rng;
     std::array<std::uint64_t, fault_site_count> counts{};
+    /** Indices into the plan's specs, per site, in plan order. */
+    std::array<std::vector<std::uint32_t>, fault_site_count> site_specs;
+    /** Rng::chanceThreshold() of each spec's probability. */
+    std::vector<double> thresholds;
+    /** Bit s set iff site s is armed. */
+    std::uint32_t armed_sites = 0;
     std::vector<std::uint32_t> fires_per_spec;
     std::vector<FaultRecord> log;
 };

@@ -8,6 +8,7 @@
 #ifndef SNPU_SIM_RANDOM_HH
 #define SNPU_SIM_RANDOM_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace snpu
@@ -22,8 +23,19 @@ class Rng
   public:
     explicit Rng(std::uint64_t seed = 0x5eed5eedULL);
 
-    /** Uniform 64-bit value. */
-    std::uint64_t next();
+    /** Uniform 64-bit value. Inline: fault probes draw on hot paths. */
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = std::rotl(s[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @pre bound > 0 */
     std::uint64_t below(std::uint64_t bound);
@@ -34,8 +46,21 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Bernoulli trial with probability @p p of true. */
-    bool chance(double p);
+    /** Bernoulli trial with probability @p p of true: uniform() < p. */
+    bool chance(double p) { return hits(chanceThreshold(p)); }
+
+    /**
+     * chance(p) with p's threshold computed once: uniform() < p is
+     * exactly (next() >> 11) < p * 2^53, since scaling by a power of
+     * two is exact in both operands.
+     */
+    static constexpr double chanceThreshold(double p) { return p * 0x1p53; }
+
+    /** One chance() draw against a chanceThreshold(). */
+    bool hits(double threshold)
+    {
+        return static_cast<double>(next() >> 11) < threshold;
+    }
 
   private:
     std::uint64_t s[4];

@@ -40,26 +40,65 @@ Scratchpad::attachTrace(TraceSink *sink, const std::string &who)
     }
 }
 
-bool
-Scratchpad::probeRead(std::uint32_t row)
+void
+Scratchpad::flipBit(std::uint32_t row)
 {
-    if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
-        // The wordline's ID bit misreads, so the comparator denies
-        // the access regardless of the real owner.
-        tracer.emit(0, TraceCategory::fault, trace_name,
-                    "injected ID mismatch: read of row ", row,
-                    " denied");
-        return true;
+    // Flip the low bit of the row's first byte in place: the
+    // corruption persists and is silent to the reader.
+    data[static_cast<std::size_t>(row) * params.row_bytes] ^= 1;
+    ++corrupted;
+    tracer.emit(0, TraceCategory::fault, trace_name,
+                "injected bit flip in row ", row);
+}
+
+void
+Scratchpad::probeFlips(Scratchpad *const *pads, const std::uint32_t *firsts,
+                       std::uint32_t lanes, std::uint32_t n)
+{
+    FaultInjector &inj = *pads[0]->faults;
+    const std::uint64_t probes = std::uint64_t{lanes} * n;
+    inj.probeUntilFire(FaultSite::spad_id_mismatch, probes, 0);
+    for (std::uint64_t i = 0;; ++i) {
+        i += inj.probeUntilFire(FaultSite::spad_bit_flip, probes - i, 0);
+        if (i == probes)
+            break;
+        pads[i % lanes]->flipBit(
+            firsts[i % lanes] + static_cast<std::uint32_t>(i / lanes));
     }
-    if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
-        // Flip the low bit of the row's first byte in place: the
-        // corruption persists and is silent to the reader.
-        data[static_cast<std::size_t>(row) * params.row_bytes] ^= 1;
-        ++corrupted;
-        tracer.emit(0, TraceCategory::fault, trace_name,
-                    "injected bit flip in row ", row);
+}
+
+std::uint32_t
+Scratchpad::probeReads(std::uint32_t first, std::uint32_t count)
+{
+    if (!faults->armed(FaultSite::spad_id_mismatch)) {
+        Scratchpad *self = this;
+        probeFlips(&self, &first, 1, count);
+        return count;
     }
-    return false;
+    // A mismatch stops the read, so each row's two probes go in turn.
+    for (std::uint32_t i = 0; i < count; ++i) {
+        if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
+            // The wordline's ID bit misreads, so the comparator
+            // denies the access regardless of the real owner.
+            tracer.emit(0, TraceCategory::fault, trace_name,
+                        "injected ID mismatch: read of row ", first + i,
+                        " denied");
+            return i;
+        }
+        if (faults->shouldInject(FaultSite::spad_bit_flip, 0))
+            flipBit(first + i);
+    }
+    return count;
+}
+
+void
+Scratchpad::probeReadPairs(Scratchpad &a, std::uint32_t a_first,
+                           Scratchpad &c, std::uint32_t c_first,
+                           std::uint32_t n)
+{
+    Scratchpad *const pads[] = {&a, &c};
+    const std::uint32_t firsts[] = {a_first, c_first};
+    probeFlips(pads, firsts, 2, n);
 }
 
 void
@@ -88,7 +127,7 @@ Scratchpad::deny(SpadOp op, Domain who, std::uint32_t row)
 
 SpadAccess
 Scratchpad::read(Domain reader, std::uint32_t first, std::uint32_t count,
-                 std::uint8_t *dst)
+                 std::uint8_t *dst, bool probed)
 {
     const std::uint32_t in_bounds = inBounds(first, count);
     std::uint32_t stop = admits(reader, first, count, SpadOp::read);
@@ -97,14 +136,12 @@ Scratchpad::read(Domain reader, std::uint32_t first, std::uint32_t count,
     // refused stop row included, in row order; an injected ID
     // mismatch becomes the new stop row.
     bool injected = false;
-    if (faults && in_bounds > 0) {
+    if (faults && !probed && in_bounds > 0) {
         const std::uint32_t reached = std::min(stop, in_bounds - 1) + 1;
-        for (std::uint32_t i = 0; i < reached; ++i) {
-            if (probeRead(first + i)) {
-                stop = i;
-                injected = true;
-                break;
-            }
+        const std::uint32_t mismatch = probeReads(first, reached);
+        if (mismatch < reached) {
+            stop = mismatch;
+            injected = true;
         }
     }
 

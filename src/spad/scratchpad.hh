@@ -149,11 +149,13 @@ class Scratchpad
      * the stop row has exactly the effects a lone access to it has
      * (a denial counts as a read and a denial, an out-of-range row
      * as nothing). With an injector armed every row up to and
-     * including the stop row is probed, in row order. A @p reader
-     * outside [0, domains) is refused at the first row.
+     * including the stop row is probed, in row order, unless
+     * @p probed says probeReadPairs() already probed the rows. A
+     * @p reader outside [0, domains) is refused at the first row.
      */
     SpadAccess read(Domain reader, std::uint32_t first,
-                    std::uint32_t count, std::uint8_t *dst);
+                    std::uint32_t count, std::uint8_t *dst,
+                    bool probed = false);
 
     /** Write rows [first, first+count) from @p src (may be null),
      *  with read()'s stop-row rule. Writes are never probed. */
@@ -265,6 +267,19 @@ class Scratchpad
      */
     void armFaults(FaultInjector *inj) { faults = inj; }
 
+    /**
+     * The read probes of @p n row pairs: row @p a_first + i of @p a,
+     * then row @p c_first + i of @p c, for i = 0..n-1 — the order of
+     * n single-row reads alternating between the two pads. An
+     * accumulating compute probes its activation and accumulator
+     * rows this way and then reads them with `probed` set.
+     * @pre both pads share one armed injector, and no read probe
+     * can stop a read (spad_id_mismatch is unarmed).
+     */
+    static void probeReadPairs(Scratchpad &a, std::uint32_t a_first,
+                               Scratchpad &c, std::uint32_t c_first,
+                               std::uint32_t n);
+
     /** Bits flipped by injected spad_bit_flip faults. */
     std::uint64_t corruptions() const
     {
@@ -287,9 +302,21 @@ class Scratchpad
         return first < params.rows ? std::min(count, params.rows - first)
                                    : 0;
     }
-    /** Probe the read sites for @p row; true on an injected ID
-     *  mismatch (a bit flip corrupts the row and returns false). */
-    bool probeRead(std::uint32_t row);
+    /** Probe the read sites for rows [first, first+count), in row
+     *  order; @return the offset of an injected ID mismatch, or
+     *  @p count (bit flips corrupt their rows and go on). */
+    std::uint32_t probeReads(std::uint32_t first, std::uint32_t count);
+    /**
+     * The bit-flip probes of @p n reads on each of @p lanes pads,
+     * row by row and pad by pad within a row (pad l reads from row
+     * @p firsts[l]): occurrence i goes to pad i % lanes. The ID
+     * mismatch site must be unarmed; its count grows in one add.
+     */
+    static void probeFlips(Scratchpad *const *pads,
+                           const std::uint32_t *firsts,
+                           std::uint32_t lanes, std::uint32_t n);
+    /** Apply an injected bit flip to @p row. */
+    void flipBit(std::uint32_t row);
     void deny(SpadOp op, Domain who, std::uint32_t row);
     void recordWrites(std::uint32_t first, std::uint32_t count)
     {

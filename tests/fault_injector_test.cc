@@ -2,11 +2,13 @@
  * @file
  * Unit tests for the deterministic fault injector: trigger semantics
  * (nth, tick_window, probability), fire budgets, occurrence
- * accounting, determinism of the probability stream, and reset.
+ * accounting, determinism of the probability stream, reset, and the
+ * range probe against per-occurrence probing.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <string>
 
@@ -168,6 +170,84 @@ TEST(FaultInjector, ResetReplaysThePlanFromScratch)
     EXPECT_FALSE(inj.shouldInject(FaultSite::guarder_check, 30));
     EXPECT_TRUE(inj.shouldInject(FaultSite::guarder_check, 40));
     EXPECT_EQ(inj.fireCount(), 1u);
+}
+
+/** Records of two injectors' logs are equal field by field. */
+void
+expectSameLog(const FaultInjector &a, const FaultInjector &b,
+              const std::string &where)
+{
+    ASSERT_EQ(a.fired().size(), b.fired().size()) << where;
+    for (std::size_t i = 0; i < a.fired().size(); ++i) {
+        EXPECT_EQ(a.fired()[i].site, b.fired()[i].site) << where;
+        EXPECT_EQ(a.fired()[i].tick, b.fired()[i].tick) << where;
+        EXPECT_EQ(a.fired()[i].occurrence, b.fired()[i].occurrence)
+            << where;
+    }
+}
+
+/**
+ * probeUntilFire(site, n) against up to n single shouldInject()
+ * calls that stop at the first fire, on twin injectors over random
+ * plans: every trigger, budgets 0/1/3, several specs per site, and
+ * probabilities at the edges of the 53-bit draw. Single probes of
+ * another site share the random stream between ranges, and the 64
+ * single probes after the last range show the streams still agree.
+ */
+TEST(FaultInjector, RangeProbeMatchesPerOccurrence)
+{
+    const double probabilities[] = {
+        0.0, 0x1p-53, 1e-3, 0.5, std::nextafter(1.0, 0.0), 1.0};
+    const std::uint32_t budgets[] = {0, 1, 3};
+    const FaultSite target = FaultSite::spad_bit_flip;
+    const FaultSite other = FaultSite::dma_transfer;
+    Rng rng(0xfa17);
+    int fires = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        FaultPlan plan;
+        plan.seed = rng.next();
+        const auto specs = rng.below(5); // 0 leaves the site unarmed
+        for (std::uint64_t i = 0; i < specs; ++i) {
+            FaultSpec s;
+            s.site = rng.chance(0.75) ? target : other;
+            s.trigger = static_cast<FaultTrigger>(rng.below(3));
+            s.nth = 1 + rng.below(40);
+            s.window_begin = rng.below(50);
+            s.window_end = s.window_begin + rng.below(50);
+            s.probability = probabilities[rng.below(6)];
+            s.max_fires = budgets[rng.below(3)];
+            plan.faults.push_back(s);
+        }
+        FaultInjector range(plan), single(plan);
+        for (int round = 0; round < 24; ++round) {
+            const std::string where = "trial " + std::to_string(trial) +
+                                      " round " + std::to_string(round);
+            const Tick now = rng.below(100);
+            if (rng.chance(0.3)) {
+                ASSERT_EQ(range.shouldInject(other, now),
+                          single.shouldInject(other, now))
+                    << where;
+            }
+            const std::uint64_t n = rng.below(48);
+            std::uint64_t want = 0;
+            while (want < n && !single.shouldInject(target, now))
+                ++want;
+            ASSERT_EQ(range.probeUntilFire(target, n, now), want) << where;
+            for (std::size_t s = 0; s < fault_site_count; ++s) {
+                const auto site = static_cast<FaultSite>(s);
+                ASSERT_EQ(range.occurrences(site), single.occurrences(site))
+                    << where << " site " << faultSiteName(site);
+            }
+            expectSameLog(range, single, where);
+        }
+        for (int i = 0; i < 64; ++i) {
+            ASSERT_EQ(range.shouldInject(target, 0),
+                      single.shouldInject(target, 0))
+                << "trial " << trial << " tail probe " << i;
+        }
+        fires += static_cast<int>(range.fireCount());
+    }
+    EXPECT_GT(fires, 0);
 }
 
 TEST(FaultInjector, SiteNamesAreUniqueAndComplete)

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -91,6 +95,34 @@ TEST(Rng, ChanceApproximatesProbability)
             ++hits;
     }
     EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
+}
+
+/**
+ * The precomputed-threshold draw is chance(p) bit for bit: on twin
+ * streams uniform() < p, hits(chanceThreshold(p)) and chance(p)
+ * agree on every draw, for edge probabilities and for probabilities
+ * that a draw lands on exactly (or one ulp below).
+ */
+TEST(Rng, ThresholdCompareMatchesChance)
+{
+    std::vector<double> probabilities = {
+        0.0, 0x1p-53, 1e-3, 0.5, std::nextafter(1.0, 0.0), 1.0,
+        0x1p-54, std::numeric_limits<double>::denorm_min(), -0.0, 2.0};
+    Rng exact(29);
+    for (int i = 0; i < 8; ++i) {
+        const double u = exact.uniform();
+        probabilities.push_back(u);
+        probabilities.push_back(std::nextafter(u, 0.0));
+    }
+    for (const double p : probabilities) {
+        const double threshold = Rng::chanceThreshold(p);
+        Rng a(29), b(29), c(29);
+        for (int i = 0; i < 20000; ++i) {
+            const bool want = a.uniform() < p;
+            ASSERT_EQ(b.hits(threshold), want) << "p " << p << " draw " << i;
+            ASSERT_EQ(c.chance(p), want) << "p " << p << " draw " << i;
+        }
+    }
 }
 
 class RngBucketTest : public ::testing::TestWithParam<std::uint64_t>

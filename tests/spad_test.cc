@@ -449,14 +449,16 @@ statValue(const stats::Group &g, const char *name)
     return s ? s->value() : -1;
 }
 
-/** One differential case: a mode, a scope, faults on or off, and
- *  the number of hardware domains. */
+/** One differential case: a mode, a scope, faults on or off, the
+ *  number of hardware domains, and whether the plan arms only the
+ *  bit-flip site (no read can then stop at an injected fault). */
 struct RangeCase
 {
     IsolationMode mode;
     SpadScope scope;
     bool faults;
     std::uint32_t domains = 2;
+    bool flip_only = false;
 };
 
 class SpadRangeVsRows : public ::testing::TestWithParam<RangeCase>
@@ -472,7 +474,8 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
         params.partition_boundary = 24;
 
     // Both sides get an injector with the same plan: probability
-    // specs on both read sites, unlimited fires.
+    // specs on both read sites (or the bit-flip site alone),
+    // unlimited fires.
     FaultPlan plan;
     plan.seed = 0x5eed;
     plan.faults = {
@@ -481,6 +484,8 @@ TEST_P(SpadRangeVsRows, RangeAccessMatchesPerRowLoop)
         {FaultSite::spad_bit_flip, FaultTrigger::probability, 1, 0, 0,
          0.05, 0},
     };
+    if (c.flip_only)
+        plan.faults.erase(plan.faults.begin());
     FaultInjector range_inj(plan), row_inj(plan);
 
     stats::Group stats("g");
@@ -580,6 +585,11 @@ allRangeCases()
         for (bool faults : {false, true})
             out.push_back({IsolationMode::id_based, scope, faults, 4});
     }
+    for (IsolationMode mode :
+         {IsolationMode::partition, IsolationMode::id_based}) {
+        for (SpadScope scope : {SpadScope::local, SpadScope::global})
+            out.push_back({mode, scope, true, 2, true});
+    }
     return out;
 }
 
@@ -593,6 +603,8 @@ PrintTo(const RangeCase &c, std::ostream *os)
         << (c.faults ? "_faults" : "");
     if (c.domains != 2)
         *os << "_" << c.domains << "domains";
+    if (c.flip_only)
+        *os << "_flip_only";
 }
 
 INSTANTIATE_TEST_SUITE_P(ModesScopesFaults, SpadRangeVsRows,
