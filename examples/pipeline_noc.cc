@@ -65,12 +65,14 @@ main()
     // above; a compromised scheduler offering the 1x4 strip
     // {0,1,2,3} is caught before anything loads.
     Soc soc(makeSystem(SystemKind::snpu));
-    SecureTask secure;
+    NpuProgram program;
     Instr nop;
     nop.op = Opcode::fence;
-    secure.program.code.push_back(nop);
-    secure.program.spad_rows_used = 16;
-    secure.expected_measurement = CodeVerifier::measure(secure.program);
+    program.code.push_back(nop);
+    program.spad_rows_used = 16;
+    SecureTask secure;
+    secure.expected_measurement = CodeVerifier::measure(program);
+    secure.program = std::make_shared<const NpuProgram>(std::move(program));
     secure.topology = NocTopology{2, 2};
 
     secure.proposed_cores = {0, 1, 5, 6};

@@ -42,8 +42,9 @@ main()
     task.model = task.model.scaled(8); // keep the demo quick
 
     SecureTask secure;
-    secure.program = runner.compile(task);
-    secure.expected_measurement = CodeVerifier::measure(secure.program);
+    secure.program =
+        std::make_shared<const NpuProgram>(runner.compile(task));
+    secure.expected_measurement = CodeVerifier::measure(*secure.program);
     secure.topology = NocTopology{1, 1};
     secure.proposed_cores = {0};
 
@@ -54,7 +55,8 @@ main()
     iv[15] = 1;
     Digest mac{};
     secure.encrypted_model =
-        soc.monitor().verifier().encryptModel(model_bytes, iv, mac);
+        std::make_shared<const std::vector<std::uint8_t>>(
+            soc.monitor().verifier().encryptModel(model_bytes, iv, mac));
     secure.model_mac = mac;
     secure.model_iv = iv;
 

@@ -235,13 +235,14 @@ topologyAttack(Soc &soc)
         return result;
     }
 
-    SecureTask task;
+    NpuProgram program;
     Instr nop;
     nop.op = Opcode::fence;
-    task.program.code.push_back(nop);
-    task.program.spad_rows_used = 16;
-    task.expected_measurement =
-        CodeVerifier::measure(task.program);
+    program.code.push_back(nop);
+    program.spad_rows_used = 16;
+    SecureTask task;
+    task.expected_measurement = CodeVerifier::measure(program);
+    task.program = std::make_shared<const NpuProgram>(std::move(program));
     task.topology = NocTopology{2, 2};
     // The malicious driver proposes a 1x4 strip: same core count,
     // wrong shape — intermediate results would cross foreign cores.
@@ -289,7 +290,7 @@ tamperedCodeAttack(Soc &soc)
     tampered.code.push_back(evil);
 
     SecureTask task;
-    task.program = tampered;
+    task.program = std::make_shared<const NpuProgram>(std::move(tampered));
     task.expected_measurement = expected;
     task.topology = NocTopology{1, 1};
     task.proposed_cores = {0};

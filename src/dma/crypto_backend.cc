@@ -174,6 +174,7 @@ CryptoBackend::beginContext(const ProtectionContext &ctx,
     r.size = ctx.bytes;
     r.world = ctx.world;
     r.version = version;
+    ctx_fp_valid = false;
 
     // The functional region tag: HMAC-SHA256 over the region
     // descriptor under the engine key, binding (base, size, world,
@@ -208,6 +209,7 @@ CryptoBackend::endContext(bool from_secure)
     }
     for (auto &r : regions)
         r.valid = false;
+    ctx_fp_valid = false;
     tracer.emit(0, TraceCategory::security, trace_name,
                 "all keyed regions retired (context teardown)");
     return Status::ok();
@@ -241,6 +243,8 @@ CryptoBackend::contextFingerprint(Addr va_base, Addr bytes)
 {
     (void)va_base;
     (void)bytes;
+    if (ctx_fp_valid)
+        return ctx_fp;
     std::uint64_t h = fnv_offset;
     for (const KeyedRegion &r : regions) {
         h = hashMix(h, std::uint64_t(r.valid));
@@ -250,6 +254,8 @@ CryptoBackend::contextFingerprint(Addr va_base, Addr bytes)
         h = hashMix(h, r.size);
         h = hashMix(h, std::uint64_t(r.world));
     }
+    ctx_fp = h;
+    ctx_fp_valid = true;
     return h;
 }
 

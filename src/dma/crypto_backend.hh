@@ -110,7 +110,8 @@ class CryptoBackend : public ProtectionBackend
     std::uint64_t timingFingerprint() const override;
 
     /** Keyed-region geometry decides denials; versions are not
-     *  timing-visible, so they stay out of the fingerprint. */
+     *  timing-visible, so they stay out of the fingerprint. Cached
+     *  between beginContext()/endContext() calls. */
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override;
 
@@ -145,6 +146,9 @@ class CryptoBackend : public ProtectionBackend
     CryptoBackendParams params;
     std::vector<KeyedRegion> regions;
     std::uint64_t n_version_bumps = 0;
+    /** contextFingerprint() of the regions, while valid. */
+    bool ctx_fp_valid = false;
+    std::uint64_t ctx_fp = 0;
 
     /** Backend-specific exported stats (optional, like the base). */
     struct CryptoStats;

@@ -137,6 +137,7 @@ NpuGuarder::setCheckingRegister(std::uint32_t slot, AddrRange range,
     if (slot >= checking.size())
         return false;
     checking[slot] = CheckingRegister{true, range, perm, world};
+    ctx_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "checking register ", slot, " = [0x", std::hex,
                 range.base, ", 0x", range.base + range.size, std::dec,
@@ -160,6 +161,7 @@ NpuGuarder::setTranslationRegister(std::uint32_t slot, Addr va_base,
     if (slot >= translation.size() || size == 0)
         return false;
     translation[slot] = TranslationRegister{true, va_base, pa_base, size};
+    ctx_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "translation register ", slot, " = va 0x", std::hex,
                 va_base, " -> pa 0x", pa_base, std::dec, " +", size,
@@ -177,6 +179,7 @@ NpuGuarder::clearTranslationRegister(std::uint32_t slot, bool from_secure)
     if (slot >= translation.size())
         return false;
     translation[slot].valid = false;
+    ctx_fp_valid = false;
     return true;
 }
 
@@ -193,6 +196,7 @@ NpuGuarder::clearAll(bool from_secure)
         cr.valid = false;
     for (auto &tr : translation)
         tr.valid = false;
+    ctx_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "all registers cleared (context teardown)");
     return true;
@@ -213,6 +217,8 @@ NpuGuarder::contextFingerprint(Addr va_base, Addr bytes)
 {
     (void)va_base;
     (void)bytes;
+    if (ctx_fp_valid)
+        return ctx_fp;
     // Both register files in slot order: which window a VA hits (and
     // the PA it translates to) is exactly this state.
     std::uint64_t h = fnv_offset;
@@ -234,6 +240,8 @@ NpuGuarder::contextFingerprint(Addr va_base, Addr bytes)
         h = hashMix(h, tr.pa_base);
         h = hashMix(h, tr.size);
     }
+    ctx_fp = h;
+    ctx_fp_valid = true;
     return h;
 }
 

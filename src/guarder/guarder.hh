@@ -126,7 +126,8 @@ class NpuGuarder : public ProtectionBackend
      * No hidden timing state: comparator latency is constant, so
      * canonicalizeTiming() keeps the base nop. The register-file
      * *contents* shape translation outcomes, so they fingerprint the
-     * provisioned context instead.
+     * provisioned context instead. The context fingerprint is cached
+     * and recomputed only after a register write or clear.
      */
     std::uint64_t timingFingerprint() const override;
     std::uint64_t contextFingerprint(Addr va_base,
@@ -176,6 +177,9 @@ class NpuGuarder : public ProtectionBackend
     GuarderParams params;
     std::vector<CheckingRegister> checking;
     std::vector<TranslationRegister> translation;
+    /** contextFingerprint() of the register files, while valid. */
+    bool ctx_fp_valid = false;
+    std::uint64_t ctx_fp = 0;
 
     stats::Scalar config_violations;
 };

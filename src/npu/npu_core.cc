@@ -520,8 +520,8 @@ NpuCore::run(Tick start, const NpuProgram &program,
             Tick t = std::max(dma_t, mac_t);
             const Tick saved = flush_engine->flush(
                 t, flush_rows, opts.flush_save_area, world);
-            flush_engine->restoreFunctional(flush_rows,
-                                            opts.flush_save_area);
+            flush_engine->restoreFunctional(
+                flush_rows, opts.flush_save_area, world);
             const Tick done = saved + resume_penalty;
             res.flush_cycles += done - t;
             dma_t = mac_t = dma_ready = done;

@@ -34,9 +34,9 @@ monitorLaunchCost(const SecureTask &task)
     constexpr Tick trampoline_cycles = 100;
     constexpr Tick context_setter_cycles = 250;
     const Tick measure_cycles =
-        static_cast<Tick>(task.program.code.size()) * 2;
+        static_cast<Tick>(task.program->code.size()) * 2;
     const Tick crypto_cycles =
-        static_cast<Tick>(task.encrypted_model.size()) / 4;
+        static_cast<Tick>(task.encrypted_model->size()) / 4;
     return trampoline_cycles + measure_cycles + crypto_cycles +
            context_setter_cycles;
 }
@@ -167,7 +167,8 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     // One validated SecureTask template per secure tenant: the
     // program the verifier would measure and a ciphertext sized like
     // the tenant's weights. Each admitted secure request submits a
-    // copy into the monitor's queue. Template construction (compile,
+    // copy into the monitor's queue; the copy shares the template's
+    // program and ciphertext. Template construction (compile,
     // measure, encrypt) is a pure function of (model, tenant slot,
     // SoC configuration) — the monitor's sealed key is a per-config
     // constant — so sweeps share one template across points through a
@@ -198,9 +199,10 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
             }
 
             auto tpl = std::make_shared<SecureTask>();
-            tpl->program = runner.compile(streams[s].task);
+            tpl->program = std::make_shared<const NpuProgram>(
+                runner.compile(streams[s].task));
             tpl->expected_measurement =
-                CodeVerifier::measure(tpl->program);
+                CodeVerifier::measure(*tpl->program);
             tpl->topology = NocTopology{1, 1};
             tpl->proposed_cores = {0};
 
@@ -213,8 +215,9 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
             iv[0] = static_cast<std::uint8_t>(s + 1);
             Digest mac{};
             tpl->encrypted_model =
-                soc.monitor().verifier().encryptModel(weights, iv,
-                                                      mac);
+                std::make_shared<const std::vector<std::uint8_t>>(
+                    soc.monitor().verifier().encryptModel(weights, iv,
+                                                          mac));
             tpl->model_mac = mac;
             tpl->model_iv = iv;
 
@@ -255,7 +258,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
             // same bytes (it provisioned them), so both sides can
             // name the digest independently.
             const Digest model_digest =
-                Sha256::hash(templates[s]->encrypted_model);
+                Sha256::hash(*templates[s]->encrypted_model);
             const Digest golden = BootChain::extend(
                 soc.goldenBootMeasurement(), model_digest);
             AttestVerifier verifier(soc.monitor().attestKey(),
@@ -266,7 +269,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
                 soc.monitor().attestQuote(model_digest, nonce);
             const Status st = verifier.verify(quote, nonce);
             attest_cost[s] = timing.handshakeCycles(
-                templates[s]->encrypted_model.size());
+                templates[s]->encrypted_model->size());
             if (st.isOk()) {
                 attest[s] = Attest::pending;
                 session_keys[s] = verifier.sessionKey();
@@ -710,7 +713,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         return sched_no_retry;
     };
     hooks.token_dispatch = [&](std::uint32_t s, std::uint32_t i,
-                               std::uint32_t token,
+                               std::uint32_t /* token */,
                                Tick now) -> TokenVerdict {
         TokenVerdict verdict;
         // Like dispatch_check, the monitor's allocator fault site is

@@ -89,7 +89,8 @@ FlushEngine::restore(Tick when, std::uint32_t live_rows, Addr save_area,
 }
 
 void
-FlushEngine::restoreFunctional(std::uint32_t live_rows, Addr save_area)
+FlushEngine::restoreFunctional(std::uint32_t live_rows, Addr save_area,
+                               World world)
 {
     live_rows = std::min(live_rows, spad.rows());
     ++restore_count;
@@ -98,6 +99,7 @@ FlushEngine::restoreFunctional(std::uint32_t live_rows, Addr save_area)
                         static_cast<std::size_t>(live_rows) *
                             spad.rowBytes());
     }
+    spad.rawSetIds(0, live_rows, world);
 }
 
 } // namespace snpu

@@ -54,9 +54,12 @@ class FlushEngine
      * Functional-only restore: move the bytes back without charging
      * time. Used when the resumed task demand-pages its context back
      * in, overlapping the refill with execution (the timing cost is
-     * then a fixed resume penalty at the call site).
+     * then a fixed resume penalty at the call site). The restored
+     * rows go back to the running @p world's ID, so the task that
+     * owns them can read them again.
      */
-    void restoreFunctional(std::uint32_t live_rows, Addr save_area);
+    void restoreFunctional(std::uint32_t live_rows, Addr save_area,
+                           World world);
 
     std::uint64_t flushes() const
     {

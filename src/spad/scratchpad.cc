@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/hashing.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -154,6 +155,7 @@ Scratchpad::read(Domain reader, std::uint32_t first, std::uint32_t count,
             if (id_state[row] != reader.id) {
                 id_state[row] = reader.id;
                 ++id_flips;
+                idsChanged();
                 recordWrites(row, 1);
             }
         }
@@ -199,6 +201,8 @@ Scratchpad::write(Domain writer, std::uint32_t first, std::uint32_t count,
             ids[i] = writer.id;
         }
         id_flips += flips;
+        if (flips > 0)
+            idsChanged();
     }
     recordWrites(first, stop);
     if (src && stop > 0) {
@@ -234,7 +238,11 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
                 "secure reset: scrubbed rows [", first, ", ",
                 first + count, ")");
     std::uint8_t *ids = id_state.data() + first;
-    id_flips += static_cast<double>(count - std::count(ids, ids + count, 0));
+    const std::uint32_t flips = static_cast<std::uint32_t>(
+        count - std::count(ids, ids + count, 0));
+    id_flips += flips;
+    if (flips > 0)
+        idsChanged();
     std::fill(ids, ids + count, 0);
     recordWrites(first, count);
     // Resetting also scrubs the payload: the secret must not survive
@@ -265,6 +273,7 @@ Scratchpad::resetDomain(Domain d, bool from_secure)
             continue;
         id_state[row] = 0;
         ++id_flips;
+        idsChanged();
         recordWrites(row, 1);
         std::memset(rawRow(row), 0, params.row_bytes);
     }
@@ -318,9 +327,23 @@ Scratchpad::rawSetIds(std::uint32_t first, std::uint32_t count, Domain d)
 {
     if (inBounds(first, count) != count)
         panic("rawSetIds: rows out of range");
-    std::fill(id_state.begin() + first, id_state.begin() + first + count,
-              d.id);
+    std::uint8_t *ids = id_state.data() + first;
+    if (spad_detail::firstNot(ids, count, d) != count) {
+        std::fill(ids, ids + count, d.id);
+        idsChanged();
+    }
     recordWrites(first, count);
+}
+
+std::uint64_t
+Scratchpad::idFingerprint(std::uint64_t seed) const
+{
+    if (!id_fp_valid || id_fp_seed != seed) {
+        id_fp = hashBytesFast(id_state.data(), id_state.size(), seed);
+        id_fp_seed = seed;
+        id_fp_valid = true;
+    }
+    return id_fp;
 }
 
 void

@@ -228,12 +228,17 @@ class Scratchpad
      */
     std::uint8_t *rawRow(std::uint32_t row);
     const std::uint8_t *rawRow(std::uint32_t row) const;
-    /** Set the ID of rows [first, first+count) to @p d (recorded). */
+    /** Set the ID of rows [first, first+count) to @p d (recorded;
+     *  a range that already holds @p d is left untouched). */
     void rawSetIds(std::uint32_t first, std::uint32_t count, Domain d);
 
-    /** The whole per-row ID image, one domain id byte per row
-     *  (layer-timing cache key input). */
-    const std::vector<std::uint8_t> &idImage() const { return id_state; }
+    /**
+     * hashBytesFast over the whole per-row ID image, one domain id
+     * byte per row, folded into @p seed (a layer-timing cache key
+     * input). Cached: recomputed only after an ID byte changed or
+     * for a different seed, so a warm key costs O(1).
+     */
+    std::uint64_t idFingerprint(std::uint64_t seed) const;
 
     /** A recorded run of rows left holding the same wordline ID. */
     struct WrittenRange
@@ -241,6 +246,9 @@ class Scratchpad
         std::uint32_t first = 0;
         std::uint32_t count = 0;
         Domain domain;
+
+        friend bool operator==(const WrittenRange &,
+                               const WrittenRange &) = default;
     };
 
     /**
@@ -330,9 +338,15 @@ class Scratchpad
         }
     }
 
+    /** Every write to id_state that changes a byte calls this. */
+    void idsChanged() { id_fp_valid = false; }
+
     SpadParams params;
     std::vector<std::uint8_t> data;   // rows * row_bytes
     std::vector<std::uint8_t> id_state; // domain id per row
+    mutable bool id_fp_valid = false;
+    mutable std::uint64_t id_fp_seed = 0;
+    mutable std::uint64_t id_fp = 0;
     bool recording = false;
     std::vector<std::uint8_t> write_mark; // lazily sized to rows
     std::vector<std::uint32_t> written_rows;

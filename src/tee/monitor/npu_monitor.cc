@@ -116,7 +116,8 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
                                  "code measurement mismatch "
                                  "(injected verifier fault)"));
     }
-    if (!code_verifier.verifyCode(task->program,
+    if (!task->program ||
+        !code_verifier.verifyCode(*task->program,
                                   task->expected_measurement)) {
         return reject(*task, Status::verificationFailed(
                                  "code measurement mismatch"));
@@ -124,9 +125,9 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
 
     // 2. Model authentication + decryption into secure memory.
     Addr model_paddr = 0;
-    if (!task->encrypted_model.empty()) {
+    if (task->encrypted_model && !task->encrypted_model->empty()) {
         std::vector<std::uint8_t> plaintext;
-        if (!code_verifier.decryptModel(task->encrypted_model,
+        if (!code_verifier.decryptModel(*task->encrypted_model,
                                         task->model_mac, task->model_iv,
                                         plaintext)) {
             return reject(*task,
@@ -174,7 +175,7 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
     // 4. Scratchpad reservations (no overlap across secure tasks).
     for (std::uint32_t core : task->proposed_cores) {
         if (!trusted_alloc.reserveSpad(task->id, core, 0,
-                                       task->program.spad_rows_used)) {
+                                       task->program->spad_rows_used)) {
             trusted_alloc.releaseSpad(task->id);
             if (model_paddr)
                 trusted_alloc.free(model_paddr);
@@ -183,7 +184,7 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
                               "scratchpad reservation overlap"));
         }
     }
-    task->spad_rows_reserved = task->program.spad_rows_used;
+    task->spad_rows_reserved = task->program->spad_rows_used;
 
     // 5. Secure context on every core.
     std::vector<TaskWindow> windows = extra_windows;
@@ -191,7 +192,7 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
         TaskWindow model_window;
         model_window.va_base = model_paddr;
         model_window.pa_base = model_paddr;
-        model_window.size = task->encrypted_model.size();
+        model_window.size = task->encrypted_model->size();
         model_window.perm = GuardPerm::ro();
         windows.push_back(model_window);
     }
@@ -210,7 +211,7 @@ NpuMonitor::launchNext(const std::vector<TaskWindow> &extra_windows)
     LaunchResult result;
     result.loadable.resize(task->proposed_cores.size());
     for (std::size_t i = 0; i < task->proposed_cores.size(); ++i) {
-        if (!secure_loader.prepare(monitor_ctx, task->program,
+        if (!secure_loader.prepare(monitor_ctx, *task->program,
                                    result.loadable[i])) {
             trusted_alloc.releaseSpad(task->id);
             if (model_paddr)

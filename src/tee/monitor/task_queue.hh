@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -47,16 +48,21 @@ const char *secureTaskStateName(SecureTaskState s);
  * of a user. The user's expectations — code measurement, model MAC,
  * topology — are provisioned out of band (sealed to the monitor);
  * everything the driver supplies is treated as hostile.
+ *
+ * The program and ciphertext are immutable and shared: submitting
+ * one task many times copies two pointers, not the bytes.
  */
 struct SecureTask
 {
     std::uint64_t id = 0;
-    /** Program to run on each assigned core. */
-    NpuProgram program;
+    /** Program to run on each assigned core (null: none, which
+     *  fails measurement). */
+    std::shared_ptr<const NpuProgram> program;
     /** User-expected measurement of the program code. */
     Digest expected_measurement{};
-    /** Encrypted model weights + HMAC tag (key sealed to monitor). */
-    std::vector<std::uint8_t> encrypted_model;
+    /** Encrypted model weights + HMAC tag (key sealed to monitor);
+     *  null or empty when the task carries no model. */
+    std::shared_ptr<const std::vector<std::uint8_t>> encrypted_model;
     Digest model_mac{};
     AesBlock model_iv{};
     /** Requested NoC topology. */

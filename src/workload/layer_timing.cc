@@ -118,10 +118,8 @@ coreConfigFingerprint(NpuCore &core)
 std::uint64_t
 idImageFingerprint(NpuCore &core)
 {
-    const auto &spad_ids = core.scratchpad().idImage();
-    const auto &acc_ids = core.accumulator().idImage();
-    std::uint64_t h = hashBytesFast(spad_ids.data(), spad_ids.size());
-    return hashBytesFast(acc_ids.data(), acc_ids.size(), h);
+    return core.accumulator().idFingerprint(
+        core.scratchpad().idFingerprint(fnv_offset));
 }
 
 LayerTimingKey

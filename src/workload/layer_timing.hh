@@ -80,7 +80,11 @@ bool programCacheable(const NpuProgram &prog);
  */
 std::uint64_t coreConfigFingerprint(NpuCore &core);
 
-/** FNV-1a over both wordline-ID images (scratchpad + accumulator). */
+/**
+ * Fingerprint of both wordline-ID images: the accumulator's
+ * Scratchpad::idFingerprint seeded with the scratchpad's. Each pad
+ * caches its own, so an unchanged image costs two compares.
+ */
 std::uint64_t idImageFingerprint(NpuCore &core);
 
 /**

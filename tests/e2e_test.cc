@@ -30,8 +30,9 @@ TEST(EndToEnd, MonitorLaunchedProgramExecutes)
     task.model = task.model.scaled(32);
 
     SecureTask secure;
-    secure.program = runner.compile(task);
-    secure.expected_measurement = CodeVerifier::measure(secure.program);
+    secure.program =
+        std::make_shared<const NpuProgram>(runner.compile(task));
+    secure.expected_measurement = CodeVerifier::measure(*secure.program);
     secure.topology = NocTopology{1, 1};
     secure.proposed_cores = {2};
 
@@ -39,7 +40,8 @@ TEST(EndToEnd, MonitorLaunchedProgramExecutes)
     AesBlock iv{};
     Digest mac{};
     secure.encrypted_model =
-        soc.monitor().verifier().encryptModel(model, iv, mac);
+        std::make_shared<const std::vector<std::uint8_t>>(
+            soc.monitor().verifier().encryptModel(model, iv, mac));
     secure.model_mac = mac;
     secure.model_iv = iv;
 

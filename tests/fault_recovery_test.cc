@@ -280,8 +280,9 @@ TEST(FaultRecovery, ArmedEmptyPlanMatchesInjectionDisabled)
         SnpuServer server(*soc, cfg);
         ServeResult res = server.serve(makeTenants(6, 8, 27));
         ASSERT_TRUE(res.ok()) << res.error();
-        if (armed)
+        if (armed) {
             EXPECT_EQ(server.faultInjector()->fireCount(), 0u);
+        }
         std::ostringstream os;
         os << res.makespan << " " << res.flush_overhead << " "
            << res.monitor_overhead << " " << res.recovery_overhead

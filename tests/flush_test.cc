@@ -70,6 +70,31 @@ TEST_F(FlushFixture, SaveRestoreRoundTripsData)
     EXPECT_EQ(std::memcmp(spad.rawRow(0), pattern, 16), 0);
 }
 
+TEST_F(FlushFixture, FunctionalRestoreReturnsRowsToRunningWorld)
+{
+    // A tile flush saves and scrubs the secure task's rows, then
+    // demand-pages them back: the task must be able to read its own
+    // rows again, and the bytes must be its own.
+    std::uint8_t pattern[16];
+    for (int i = 0; i < 16; ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 5 + 2);
+    spad.write(World::secure, 0, pattern);
+    spad.write(World::secure, 1, pattern);
+
+    engine.flush(0, 2, save_area, World::secure);
+    EXPECT_EQ(spad.idState(0), World::normal);
+    engine.restoreFunctional(2, save_area, World::secure);
+    for (std::uint32_t row = 0; row < 2; ++row) {
+        EXPECT_EQ(spad.idState(row), World::secure);
+        std::uint8_t out[16] = {};
+        EXPECT_EQ(spad.read(World::secure, row, out), SpadStatus::ok);
+        EXPECT_EQ(std::memcmp(out, pattern, 16), 0);
+    }
+    // The normal world is still refused the restored rows.
+    EXPECT_EQ(spad.read(World::normal, 0, nullptr),
+              SpadStatus::security_violation);
+}
+
 TEST_F(FlushFixture, CostScalesWithLiveRows)
 {
     const Tick small = engine.flush(0, 8, save_area, World::secure);

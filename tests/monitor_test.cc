@@ -20,16 +20,31 @@ struct MonitorFixture : ::testing::Test
 {
     MonitorFixture() : soc(makeSystem(SystemKind::snpu)) {}
 
+    static NpuProgram
+    benignProgram()
+    {
+        NpuProgram program;
+        Instr nop;
+        nop.op = Opcode::fence;
+        program.code.push_back(nop);
+        program.spad_rows_used = 32;
+        return program;
+    }
+
+    /** A task running @p program, measured as the user would. */
+    static void
+    setProgram(SecureTask &task, NpuProgram program)
+    {
+        task.expected_measurement = CodeVerifier::measure(program);
+        task.program =
+            std::make_shared<const NpuProgram>(std::move(program));
+    }
+
     SecureTask
     benignTask(std::vector<std::uint32_t> cores = {0})
     {
         SecureTask task;
-        Instr nop;
-        nop.op = Opcode::fence;
-        task.program.code.push_back(nop);
-        task.program.spad_rows_used = 32;
-        task.expected_measurement =
-            CodeVerifier::measure(task.program);
+        setProgram(task, benignProgram());
         task.topology = NocTopology{
             static_cast<std::uint32_t>(cores.size()), 1};
         task.proposed_cores = std::move(cores);
@@ -62,12 +77,13 @@ TEST_F(MonitorFixture, UserCodeNeverKeepsPrivilege)
 {
     SecureTask task = benignTask();
     // Sneak a privileged instruction into the user code.
+    NpuProgram program = benignProgram();
     Instr evil;
     evil.op = Opcode::sec_set_id;
     evil.world = World::secure;
     evil.privileged = true;
-    task.program.code.push_back(evil);
-    task.expected_measurement = CodeVerifier::measure(task.program);
+    program.code.push_back(evil);
+    setProgram(task, std::move(program));
 
     soc.monitor().submit(task);
     LaunchResult launch = soc.monitor().launchNext();
@@ -98,7 +114,8 @@ TEST_F(MonitorFixture, ModelDecryptionRoundTrip)
     iv[0] = 7;
     Digest mac{};
     task.encrypted_model =
-        soc.monitor().verifier().encryptModel(model, iv, mac);
+        std::make_shared<const std::vector<std::uint8_t>>(
+            soc.monitor().verifier().encryptModel(model, iv, mac));
     task.model_mac = mac;
     task.model_iv = iv;
 
@@ -120,9 +137,12 @@ TEST_F(MonitorFixture, TamperedModelRejected)
     std::vector<std::uint8_t> model(64, 0x42);
     AesBlock iv{};
     Digest mac{};
-    task.encrypted_model =
+    std::vector<std::uint8_t> cipher =
         soc.monitor().verifier().encryptModel(model, iv, mac);
-    task.encrypted_model[10] ^= 1; // bit-flip in transit
+    cipher[10] ^= 1; // bit-flip in transit
+    task.encrypted_model =
+        std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(cipher));
     task.model_mac = mac;
     task.model_iv = iv;
 
