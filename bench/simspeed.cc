@@ -6,8 +6,9 @@
  * of the reproduction harness.
  *
  * Besides the console table, every run emits a machine-readable
- * summary (ns/op, ops/sec, and items/sec where an "item" is an event
- * / byte) so the perf trajectory is tracked across PRs:
+ * summary (ns/op, ops/sec, and items/sec where an "item" is the
+ * benchmark's unit of work) so the perf trajectory is tracked across
+ * changes:
  *
  *   simspeed [--json=PATH] [--label=NAME] [google-benchmark flags]
  *
@@ -34,7 +35,6 @@
 #include "npu/systolic_model.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -46,75 +46,6 @@ namespace
 {
 
 using namespace snpu;
-
-// ---------------------------------------------------------------
-// Simulation kernel
-// ---------------------------------------------------------------
-
-/**
- * The event-queue microbenchmark: schedule a burst of events with
- * scattered ticks, then drain it. The callbacks capture 32 bytes —
- * the realistic size for a model callback (object pointer plus
- * arguments) — which exceeds std::function's small-buffer
- * optimization, so any per-event copy inside the queue shows up as
- * an allocation. One "item" is one executed event.
- */
-void
-BM_EventQueueScheduleRun(benchmark::State &state)
-{
-    const std::int64_t n = state.range(0);
-    EventQueue eq;
-    std::uint64_t sink = 0;
-    std::uint64_t ticks = 0;
-    for (auto _ : state) {
-        const Tick base = eq.now();
-        for (std::int64_t i = 0; i < n; ++i) {
-            const Tick when = base + 1 + (i * 7919) % 4096;
-            eq.schedule(when, [&sink, &ticks, i, when] {
-                sink += static_cast<std::uint64_t>(i);
-                ticks += when;
-            });
-        }
-        eq.run();
-    }
-    benchmark::DoNotOptimize(sink);
-    benchmark::DoNotOptimize(ticks);
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(4096);
-
-/**
- * Steady-state churn at constant queue depth: every executed event
- * is replaced by a newly scheduled one, the pattern a running
- * simulation produces. One "item" is one executed event.
- */
-void
-BM_EventQueueChurn(benchmark::State &state)
-{
-    constexpr std::int64_t depth = 1024;
-    EventQueue eq;
-    std::uint64_t sink = 0;
-    std::uint64_t ticks = 0;
-    for (std::int64_t i = 0; i < depth; ++i) {
-        eq.schedule(static_cast<Tick>(i + 1), [&sink, &ticks, i] {
-            sink += static_cast<std::uint64_t>(i);
-            ++ticks;
-        });
-    }
-    std::int64_t i = depth;
-    for (auto _ : state) {
-        eq.scheduleIn(depth, [&sink, &ticks, i] {
-            sink += static_cast<std::uint64_t>(i);
-            ++ticks;
-        });
-        ++i;
-        eq.step();
-    }
-    benchmark::DoNotOptimize(sink);
-    benchmark::DoNotOptimize(ticks);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueChurn);
 
 // ---------------------------------------------------------------
 // Memory path

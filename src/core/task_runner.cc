@@ -135,9 +135,6 @@ TaskRunner::run(const NpuTask &task, const RunOptions &opts)
     ExecOptions eo;
     eo.flush = opts.flush;
     eo.flush_save_area = va_base + ((footprint + 4095) & ~Addr(4095));
-    eo.noc = soc.params().noc_mode == NocMode::software
-                 ? NocMode::unauthorized
-                 : soc.params().noc_mode;
 
     ExecResult exec;
     if (opts.use_timing_cache) {
@@ -214,8 +211,6 @@ TaskRunner::runPipeline(const NpuTask &task,
         }
     }
 
-    const std::uint64_t noc_bytes_before = soc.npu().mesh().flitsMoved();
-
     Tick t = 0;
     Addr prev_out_buffer = 0;
     for (std::size_t s = 0; s < stages.size(); ++s) {
@@ -233,13 +228,11 @@ TaskRunner::runPipeline(const NpuTask &task,
         NpuProgram program =
             compiler.compileModel(sub, cursor, &footprint, co);
 
-        // Track the stage's final output buffer for chaining: it is
-        // the last buffer allocated before `cursor` advanced; we
-        // recompute it by recompiling bookkeeping — instead, chain
-        // through a fresh compile that reports buffers would be
-        // complex, so we conservatively hand the next stage the
-        // whole stage arena base. The software-NoC cost is carried
-        // by the mvout+mvin pairs already present in the programs.
+        // Under the software NoC the next stage loads its input from
+        // this stage's arena base. The compiler does not report which
+        // buffer holds a stage's final output, so the arena base
+        // stands in for it; the handoff's cost is the mvout and mvin
+        // pairs already in the two programs.
         prev_out_buffer = cursor;
 
         // The stage's window spans the whole pipeline arena so far:
@@ -262,9 +255,7 @@ TaskRunner::runPipeline(const NpuTask &task,
         for (std::uint32_t r = 0; r < program.spad_rows_used; ++r)
             core.scratchpad().write(task.world, r, nullptr);
 
-        ExecOptions eo;
-        eo.noc = direct ? noc : NocMode::unauthorized;
-        ExecResult exec = core.run(t, program, eo);
+        ExecResult exec = core.run(t, program);
         if (!exec.ok()) {
             result.status = exec.status;
             return result;
@@ -319,7 +310,6 @@ TaskRunner::runPipeline(const NpuTask &task,
         }
     }
 
-    (void)noc_bytes_before;
     result.status = Status::ok();
     result.cycles = t;
     return result;

@@ -106,8 +106,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
             first_pa = packet_pa;
 
         MemRequest mreq{packet_pa, chunk, req.op, req.world};
-        MemResult mres = params.through_l2 ? mem.access(issue, mreq)
-                                           : mem.accessUncached(issue, mreq);
+        MemResult mres = mem.access(issue, mreq);
         if (!mres.ok) {
             ++denied_requests;
             result.ok = false;
@@ -180,9 +179,7 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
             std::min(params.packet_bytes, req.bytes - offset);
         MemRequest mreq{req_xl.paddr + offset, chunk, req.op,
                         req.world};
-        MemResult mres = params.through_l2
-                             ? mem.access(issue, mreq)
-                             : mem.accessUncached(issue, mreq);
+        MemResult mres = mem.access(issue, mreq);
         if (!mres.ok) {
             ++denied_requests;
             packets_issued += packets;
@@ -336,9 +333,7 @@ DmaEngine::transferBatch(
         }
 
         MemRequest mreq{packet_pa, chunk, s.req->op, s.req->world};
-        MemResult mres = params.through_l2
-                             ? mem.access(issue, mreq)
-                             : mem.accessUncached(issue, mreq);
+        MemResult mres = mem.access(issue, mreq);
         if (!mres.ok) {
             ++denied_requests;
             result.ok = false;

@@ -54,8 +54,6 @@ struct DmaParams
     std::uint32_t packet_bytes = 64;
     /** Issue rate: cycles between consecutive packet issues. */
     Tick issue_interval = 1;
-    /** Route NPU traffic through the shared L2. */
-    bool through_l2 = true;
     /** Parallel DMA channels for batched loads (tile-row streams). */
     std::uint32_t channels = 16;
 };

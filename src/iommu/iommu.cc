@@ -93,9 +93,12 @@ Iommu::beginContext(const ProtectionContext &ctx, bool from_secure)
     const Addr aligned =
         (ctx.bytes + page_bytes - 1) & ~Addr(page_bytes - 1);
     // Pages may already be mapped from a previous run of the same
-    // buffers; remap of an identical range keeps the entries.
-    table.mapRange(ctx.va_base, ctx.pa_base, aligned, true,
-                   ctx.world == World::secure);
+    // buffers or an overlapping window; identical entries are kept.
+    if (!table.mapRange(ctx.va_base, ctx.pa_base, aligned, true,
+                        ctx.world == World::secure)) {
+        return Status::provisionFailed(
+            "IOMMU context overlaps a conflicting mapping");
+    }
     flushTlb();
     recordContext();
     tracer.emit(0, TraceCategory::security, trace_name,

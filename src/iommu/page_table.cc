@@ -89,13 +89,14 @@ PageTable::map(Addr vaddr, Addr paddr, bool writable, bool secure)
         node = pte.paddr;
     }
     const Addr leaf = entryAddr(node, index(vaddr, levels - 1));
-    Pte pte = Pte::decode(mem.data().read64(leaf));
-    if (pte.valid)
-        return false;
+    const Pte old = Pte::decode(mem.data().read64(leaf));
+    Pte pte;
     pte.valid = true;
     pte.writable = writable;
     pte.secure = secure;
     pte.paddr = paddr & ~Addr(page_bytes - 1);
+    if (old.valid)
+        return old.encode() == pte.encode();
     mem.data().write64(leaf, pte.encode());
     return true;
 }
@@ -104,6 +105,8 @@ bool
 PageTable::mapRange(Addr vaddr, Addr paddr, Addr bytes, bool writable,
                     bool secure)
 {
+    // Pages an earlier, overlapping range already mapped identically
+    // are kept; the rest of the range is still mapped.
     for (Addr off = 0; off < bytes; off += page_bytes) {
         if (!map(vaddr + off, paddr + off, writable, secure))
             return false;

@@ -52,10 +52,17 @@ class PageTable
      */
     PageTable(MemSystem &mem, AddrRange arena);
 
-    /** Map one 4 KiB page. Fails (returns false) on remap conflict. */
+    /**
+     * Map one 4 KiB page. Mapping a page again exactly as it is
+     * mapped is a no-op that succeeds; a remap to a different frame
+     * or with different permissions is a conflict (returns false).
+     */
     bool map(Addr vaddr, Addr paddr, bool writable, bool secure);
 
-    /** Map a contiguous range of pages. */
+    /**
+     * Map a contiguous range of pages. Fails at the first
+     * conflicting page, leaving the pages before it mapped.
+     */
     bool mapRange(Addr vaddr, Addr paddr, Addr bytes, bool writable,
                   bool secure);
 

@@ -1,13 +1,11 @@
 #include "mem/mem_system.hh"
 
-#include "sim/logging.hh"
-
 namespace snpu
 {
 
 MemSystem::MemSystem(stats::Group &stats, AddressMap map,
                      MemSystemParams params)
-    : _map(map), params(params),
+    : _map(map),
       _dram(stats, params.dram),
       mee_hits(stats, "mee_counter_hits", "counter cache hits"),
       mee_misses(stats, "mee_counter_misses", "counter cache misses"),
@@ -37,32 +35,7 @@ MemSystem::access(Tick when, const MemRequest &req)
 {
     if (!check(req))
         return MemResult{when, false, false};
-    if (!params.npu_through_l2)
-        return accessUncachedInternal(when, req);
     return _l2.access(when, req);
-}
-
-MemResult
-MemSystem::accessUncached(Tick when, const MemRequest &req)
-{
-    if (!check(req))
-        return MemResult{when, false, false};
-    return accessUncachedInternal(when, req);
-}
-
-MemResult
-MemSystem::accessUncachedInternal(Tick when, const MemRequest &req)
-{
-    MemResult result;
-    result.done = _dram.access(when, req.bytes, req.op);
-    if (params.memory_encryption) {
-        // One line through the engine: the one holding paddr.
-        result.done +=
-            _crypto.charge(req.paddr / line_bytes * line_bytes, line_bytes);
-    }
-    result.ok = true;
-    result.l2_hit = false;
-    return result;
 }
 
 } // namespace snpu

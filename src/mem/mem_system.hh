@@ -31,8 +31,6 @@ struct MemSystemParams
     /** DRAM-side counter-mode encryption of every L2 line (the
      *  TNPU-style complement, ablation). */
     bool memory_encryption = false;
-    /** When false, NPU traffic bypasses L2 (pure streaming). */
-    bool npu_through_l2 = true;
 };
 
 /**
@@ -48,12 +46,6 @@ class MemSystem
 
     /** Timed access; also counts partition violations. */
     MemResult access(Tick when, const MemRequest &req);
-
-    /**
-     * Timed access that bypasses the L2 (streaming DMA path). Still
-     * enforces the partition.
-     */
-    MemResult accessUncached(Tick when, const MemRequest &req);
 
     /** Functional data path (no timing, no checks). */
     PhysMem &data() { return mem; }
@@ -86,10 +78,8 @@ class MemSystem
 
   private:
     bool check(const MemRequest &req);
-    MemResult accessUncachedInternal(Tick when, const MemRequest &req);
 
     AddressMap _map;
-    MemSystemParams params;
     PhysMem mem;
     DramModel _dram;
     stats::Scalar mee_hits;

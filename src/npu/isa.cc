@@ -21,14 +21,8 @@ opcodeName(Opcode op)
         return "preload";
       case Opcode::compute:
         return "compute";
-      case Opcode::noc_send:
-        return "noc_send";
-      case Opcode::noc_recv:
-        return "noc_recv";
       case Opcode::fence:
         return "fence";
-      case Opcode::flush_spad:
-        return "flush_spad";
       case Opcode::sec_set_id:
         return "sec_set_id";
       case Opcode::sec_reset_spad:
@@ -56,10 +50,6 @@ Instr::toString() const
         os << " a=" << spad_row << " acc=" << spad_row2
            << " n=" << rows << " k=" << k
            << (accumulate ? " +=" : " =");
-        break;
-      case Opcode::noc_send:
-      case Opcode::noc_recv:
-        os << " peer=" << peer << " row=" << spad_row << " n=" << rows;
         break;
       case Opcode::sec_set_id:
         os << ' ' << worldName(world);

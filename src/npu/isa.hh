@@ -31,10 +31,7 @@ enum class Opcode : std::uint8_t
     mvout,           //!< DMA: accumulator rows -> memory
     preload,         //!< load a 16x16 weight tile into the PE array
     compute,         //!< systolic matmul: A rows x loaded weights
-    noc_send,        //!< send scratchpad rows to another core
-    noc_recv,        //!< expect scratchpad rows from another core
     fence,           //!< wait for all outstanding operations
-    flush_spad,      //!< save/scrub scratchpad context (strawman)
     sec_set_id,      //!< privileged: set the core's ID state
     sec_reset_spad,  //!< privileged: reset secure rows to non-secure
 };
@@ -55,7 +52,7 @@ struct Instr
 
     /** mvin/mvout: virtual DMA address. */
     Addr vaddr = 0;
-    /** mvin/mvout/preload/compute/noc/sec_reset: scratchpad row. */
+    /** mvin/mvout/preload/compute/sec_reset: scratchpad row. */
     std::uint32_t spad_row = 0;
     /** second scratchpad row (compute: accumulator row). */
     std::uint32_t spad_row2 = 0;
@@ -63,8 +60,6 @@ struct Instr
     std::uint32_t rows = 0;
     /** compute: K-dimension length in elements (<= array dim). */
     std::uint32_t k = 0;
-    /** noc_send/noc_recv: peer core id. */
-    std::uint32_t peer = 0;
     /** config: activation selection. */
     Activation act = Activation::none;
     /** compute: accumulate into (true) or overwrite (false) acc rows. */

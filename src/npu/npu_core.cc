@@ -71,15 +71,6 @@ NpuCore::attachTrace(TraceSink *sink)
 }
 
 void
-NpuCore::attachNoc(NocFabric *fabric, SoftwareNoc *swnoc)
-{
-    noc_fabric = fabric;
-    software_noc = swnoc;
-    if (noc_fabric)
-        noc_fabric->attachScratchpad(params.core_id, spad.get());
-}
-
-void
 NpuCore::armFaults(FaultInjector *inj)
 {
     faults = inj;
@@ -329,43 +320,9 @@ NpuCore::computeInPlace(const Instr &in, std::uint32_t r,
     }
 }
 
-bool
-NpuCore::execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
-                     ExecResult &res)
-{
-    NocResult nres;
-    if (opts.noc == NocMode::software) {
-        if (!software_noc || !noc_fabric)
-            panic("software NoC not attached");
-        // Peer scratchpad located through the fabric's registry is
-        // not available here; the device exposes it instead.
-        fail(res, "software NoC send must go through NpuDevice");
-        return false;
-    }
-    if (!noc_fabric)
-        panic("NoC fabric not attached");
-    noc_fabric->setMode(opts.noc);
-    nres = noc_fabric->transfer(t, params.core_id, in.peer, in.spad_row,
-                                in.spad_row, in.rows);
-    if (!nres.ok) {
-        if (nres.corrupted) {
-            fail(res, "NoC packet dropped: head-flit corruption",
-                 StatusCode::degraded);
-        } else if (nres.auth_failed) {
-            fail(res, "NoC peephole rejected the packet",
-                 StatusCode::verification_failed);
-        } else {
-            fail(res, "NoC transfer denied");
-        }
-        return false;
-    }
-    t = nres.done;
-    return true;
-}
-
 ExecResult
 NpuCore::run(Tick start, const NpuProgram &program,
-             const ExecOptions &opts, ExecState *state)
+             const ExecOptions &opts)
 {
     ++programs_run;
     ExecResult res;
@@ -386,11 +343,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
     Tick dma_t = start;     // DMA pipeline cursor
     Tick dma_ready = start; // completion of the latest load
     Tick mac_t = start;     // systolic pipeline cursor
-    if (state) {
-        dma_t = std::max(dma_t, state->dma_t);
-        dma_ready = std::max(dma_ready, state->dma_ready);
-        mac_t = std::max(mac_t, state->mac_t);
-    }
 
     std::size_t next_tile = 0;
     std::size_t next_layer = 0;
@@ -437,28 +389,9 @@ NpuCore::run(Tick start, const NpuProgram &program,
           case Opcode::compute:
             ok = execCompute(in, mac_t, dma_ready, res);
             break;
-          case Opcode::noc_send: {
-            Tick t = std::max(dma_t, mac_t);
-            ok = execNocSend(in, t, opts, res);
-            dma_t = mac_t = t;
-            break;
-          }
-          case Opcode::noc_recv:
-            // Cross-core arrival is synchronized by the multi-core
-            // runner; within a single core this is a fence.
-            dma_t = mac_t = std::max(dma_t, mac_t);
-            break;
           case Opcode::fence:
             dma_t = mac_t = dma_ready = std::max(dma_t, mac_t);
             break;
-          case Opcode::flush_spad: {
-            Tick t = std::max(dma_t, mac_t);
-            const Tick done = flush_engine->flush(
-                t, program.spad_rows_used, opts.flush_save_area, world);
-            res.flush_cycles += done - t;
-            dma_t = mac_t = done;
-            break;
-          }
           case Opcode::sec_set_id:
             if (!in.privileged) {
                 fail(res,
@@ -480,8 +413,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
 
         if (!ok) {
             res.end = std::max(dma_t, mac_t);
-            if (state)
-                *state = ExecState{dma_t, dma_ready, mac_t};
             return res;
         }
 
@@ -529,8 +460,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
     }
 
     res.end = std::max(dma_t, mac_t);
-    if (state)
-        *state = ExecState{dma_t, dma_ready, mac_t};
 
     // End-to-end output integrity check: if a wordline was silently
     // corrupted while this program ran, the result retires on time

@@ -22,8 +22,6 @@
 
 #include "dma/dma_engine.hh"
 #include "mem/mem_system.hh"
-#include "noc/router_controller.hh"
-#include "noc/software_noc.hh"
 #include "npu/isa.hh"
 #include "sim/status.hh"
 #include "npu/systolic_model.hh"
@@ -59,22 +57,6 @@ struct ExecOptions
     FlushGranularity flush = FlushGranularity::none;
     /** Secure save area used by the flush engine. */
     Addr flush_save_area = 0;
-    /** NoC transport for noc_send instructions. */
-    NocMode noc = NocMode::unauthorized;
-};
-
-/**
- * Persistent pipeline state for split program execution: callers
- * that run one logical program as several run() calls (e.g. the
- * concurrent tenant runner interleaving at tile granularity) pass
- * the same ExecState so the DMA/compute overlap survives the
- * boundaries.
- */
-struct ExecState
-{
-    Tick dma_t = 0;      //!< DMA pipeline cursor
-    Tick dma_ready = 0;  //!< completion of the latest load
-    Tick mac_t = 0;      //!< systolic pipeline cursor
 };
 
 /** Outcome of running one program. */
@@ -87,7 +69,7 @@ struct ExecResult
     std::uint64_t mac_busy = 0;
     /** MAC operations actually performed. */
     std::uint64_t macs = 0;
-    /** Security denials observed (spad / DMA / NoC). */
+    /** Security denials observed (spad / DMA). */
     std::uint64_t violations = 0;
     /** Flush/restore overhead cycles injected. */
     std::uint64_t flush_cycles = 0;
@@ -122,9 +104,6 @@ class NpuCore
     SystolicArray &array() { return systolic; }
     FlushEngine &flusher() { return *flush_engine; }
 
-    /** Attach the NoC transports (done by the device). */
-    void attachNoc(NocFabric *fabric, SoftwareNoc *swnoc);
-
     /**
      * Attach (or detach with nullptr) an execution trace sink. The
      * sink fans out to the core's scratchpads and DMA engine, which
@@ -141,14 +120,9 @@ class NpuCore
      */
     void armFaults(FaultInjector *inj);
 
-    /**
-     * Execute @p program starting at @p start. When @p state is
-     * non-null the pipeline cursors resume from it and are written
-     * back, preserving load/compute overlap across split programs.
-     */
+    /** Execute @p program starting at @p start. */
     ExecResult run(Tick start, const NpuProgram &program,
-                   const ExecOptions &opts = {},
-                   ExecState *state = nullptr);
+                   const ExecOptions &opts = {});
 
     const NpuCoreParams &coreParams() const { return params; }
 
@@ -171,8 +145,6 @@ class NpuCore
      *  offset @p r, on the scratchpad and accumulator rows. */
     void computeInPlace(const Instr &in, std::uint32_t r,
                         std::uint32_t rows, std::uint32_t k);
-    bool execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
-                     ExecResult &res);
     void fail(ExecResult &res, const std::string &why,
               StatusCode code = StatusCode::exec_failed);
 
@@ -194,8 +166,6 @@ class NpuCore
     SystolicArray systolic;
     std::unique_ptr<DmaEngine> dma_engine;
     std::unique_ptr<FlushEngine> flush_engine;
-    NocFabric *noc_fabric = nullptr;
-    SoftwareNoc *software_noc = nullptr;
     FaultInjector *faults = nullptr;
 
     /** Staging buffers reused across instructions: one per DMA

@@ -42,7 +42,7 @@ NpuDevice::NpuDevice(stats::Group &stats, MemSystem &mem,
         cp.core_id = i;
         cores.push_back(
             std::make_unique<NpuCore>(stats, mem, *controls[i], cp));
-        cores.back()->attachNoc(_fabric.get(), swnoc.get());
+        _fabric->attachScratchpad(i, &cores.back()->scratchpad());
     }
 }
 

@@ -49,17 +49,6 @@ std::vector<Tick> burstyArrivals(Rng &rng, double mean_gap,
                                  Tick start = 0);
 
 /**
- * Trace replay: tile the relative gap pattern @p gap_pattern (unit
- * mean assumed; it is renormalized defensively) across @p count
- * arrivals, scaling each gap by @p mean_gap. Deterministic — the
- * trace IS the randomness — so replayed load shapes are identical
- * across sweep points regardless of seed.
- */
-std::vector<Tick> replayArrivals(const std::vector<double> &gap_pattern,
-                                 double mean_gap, std::uint32_t count,
-                                 Tick start = 0);
-
-/**
  * Mean inter-arrival gap (per tenant) that offers @p load of the
  * cluster's capacity: @p tenants identical streams whose requests
  * each need @p service_cycles of ideal compute, served by @p cores

@@ -607,11 +607,10 @@ NCoreScheduler::run(const std::vector<ExecStream> &streams,
             }
         }
 
-        ExecOptions eo;
-        eo.noc = NocMode::unauthorized;
         ExecResult exec =
             memo.run(core, clock[core], code.segments[req.next_seg],
-                     eo, st.win_base, st.win_bytes + (1u << 20))
+                     ExecOptions{}, st.win_base,
+                     st.win_bytes + (1u << 20))
                 .exec;
         if (!exec.ok()) {
             if (!hooks.fail) {

@@ -26,10 +26,8 @@
  * contention between them emerges from the shared memory model.
  * That contention is mild: two resnet/8 streams pinned to two tiles
  * (8192 partition rows each) finish at 2.69M and 2.84M cycles,
- * against 2.67M solo at 16 GB/s and 3.10M at half bandwidth. The
- * concurrent pair runner (core/concurrent.hh) serializes the two
- * tenants' DMA bursts instead and finishes the same pair at about
- * 5.3M cycles, so the two contention models disagree.
+ * against 2.67M solo at 16 GB/s and 3.10M at half bandwidth, so
+ * Fig 15's halved-bandwidth approximation is the pessimistic side.
  *
  * The serving engine (serve/server.hh) layers admission control and
  * NPU-Monitor costs on top through the hook interface.

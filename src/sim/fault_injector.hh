@@ -21,8 +21,8 @@
  *                 submission index, so a Monte Carlo fault sweep is
  *                 bit-identical at any host thread count.
  *
- * The injector is single-simulation state, exactly like the
- * EventQueue: one injector per SoC, never shared across sweep jobs.
+ * The injector is single-simulation state: one injector per SoC,
+ * never shared across sweep jobs.
  */
 
 #ifndef SNPU_SIM_FAULT_INJECTOR_HH

@@ -9,13 +9,13 @@
  * simulator into a fast experiment machine.
  *
  * Determinism contract: a job receives a SweepContext owning a
- * private EventQueue and Rng whose seed is derived from the job's
- * submission index only (never from the worker thread), and results
- * are collected in submission order. Jobs must not share mutable
- * state; under that contract the output is bit-identical for any
- * thread count, including 1.
+ * private Rng whose seed is derived from the job's submission index
+ * only (never from the worker thread), and results are collected in
+ * submission order. Jobs must not share mutable state; under that
+ * contract the output is bit-identical for any thread count,
+ * including 1.
  *
- * A single EventQueue remains single-threaded by contract — the
+ * A single simulation remains single-threaded by contract — the
  * parallelism here is strictly *between* independent simulations,
  * never within one.
  */
@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/status.hh"
 
@@ -38,9 +37,9 @@ namespace snpu
 {
 
 /**
- * Per-job simulation context, owned by the runner. The queue and RNG
- * are freshly hard-reset / reseeded for every job, so a job behaves
- * identically whether it runs first or last on its worker.
+ * Per-job simulation context, owned by the runner. The RNG is freshly
+ * seeded for every job, so a job behaves identically whether it runs
+ * first or last on its worker.
  */
 class SweepContext
 {
@@ -56,16 +55,12 @@ class SweepContext
     /** Per-job seed, derived from the base seed and index only. */
     std::uint64_t seed() const { return _seed; }
 
-    /** Private event queue; starts at tick 0 with nothing pending. */
-    EventQueue &events() { return _events; }
-
     /** Private RNG, seeded deterministically per job. */
     Rng &rng() { return _rng; }
 
   private:
     std::size_t _index;
     std::uint64_t _seed;
-    EventQueue _events;
     Rng _rng;
 };
 

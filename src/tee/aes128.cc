@@ -8,13 +8,13 @@ namespace snpu
 namespace
 {
 
-// Forward and inverse S-boxes computed at startup from the AES field
-// inverse and affine transform (avoids a 512-byte literal table and
-// keeps the construction self-documenting).
+// The forward S-box computed at startup from the AES field inverse
+// and affine transform (avoids a 256-byte literal table and keeps the
+// construction self-documenting). CTR mode only ever encrypts, so no
+// inverse cipher is needed.
 struct SBoxes
 {
     std::uint8_t fwd[256];
-    std::uint8_t inv[256];
 
     SBoxes()
     {
@@ -54,7 +54,6 @@ struct SBoxes
             }
             s ^= 0x63;
             fwd[i] = s;
-            inv[s] = static_cast<std::uint8_t>(i);
         }
     }
 };
@@ -70,19 +69,6 @@ std::uint8_t
 xtime(std::uint8_t x)
 {
     return static_cast<std::uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0));
-}
-
-std::uint8_t
-gmul(std::uint8_t a, std::uint8_t b)
-{
-    std::uint8_t p = 0;
-    while (b) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
 }
 
 } // namespace
@@ -150,47 +136,6 @@ Aes128::encryptBlock(std::uint8_t s[16]) const
     }
     sub_shift();
     add_round_key(10);
-}
-
-void
-Aes128::decryptBlock(std::uint8_t s[16]) const
-{
-    const auto &sb = sboxes();
-    auto add_round_key = [&](int round) {
-        for (int i = 0; i < 16; ++i)
-            s[i] ^= round_keys[round * 16 + i];
-    };
-    auto inv_sub_shift = [&]() {
-        std::uint8_t t[16];
-        for (int c = 0; c < 4; ++c)
-            for (int r = 0; r < 4; ++r)
-                t[((c + r) % 4) * 4 + r] = sb.inv[s[c * 4 + r]];
-        std::memcpy(s, t, 16);
-    };
-    auto inv_mix_columns = [&]() {
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t *col = s + c * 4;
-            const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2],
-                               a3 = col[3];
-            col[0] = static_cast<std::uint8_t>(
-                gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-            col[1] = static_cast<std::uint8_t>(
-                gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-            col[2] = static_cast<std::uint8_t>(
-                gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-            col[3] = static_cast<std::uint8_t>(
-                gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
-        }
-    };
-
-    add_round_key(10);
-    for (int round = 9; round >= 1; --round) {
-        inv_sub_shift();
-        add_round_key(round);
-        inv_mix_columns();
-    }
-    inv_sub_shift();
-    add_round_key(0);
 }
 
 std::vector<std::uint8_t>

@@ -28,9 +28,6 @@ class Aes128
     /** Encrypt one 16-byte block in place. */
     void encryptBlock(std::uint8_t block[16]) const;
 
-    /** Decrypt one 16-byte block in place. */
-    void decryptBlock(std::uint8_t block[16]) const;
-
     /**
      * CTR mode transform (encrypt == decrypt). @p iv is the initial
      * counter block; the counter increments big-endian per block.

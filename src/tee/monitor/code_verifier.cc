@@ -48,7 +48,6 @@ CodeVerifier::serialize(const NpuProgram &program)
         put32(out, in.spad_row2);
         put32(out, in.rows);
         put32(out, in.k);
-        put32(out, in.peer);
         out.push_back(static_cast<std::uint8_t>(in.act));
         out.push_back(in.accumulate ? 1 : 0);
         out.push_back(static_cast<std::uint8_t>(in.world));

@@ -18,25 +18,16 @@ scanProgram(const NpuProgram &prog)
     for (const Instr &in : prog.code) {
         // Widened field image instead of per-field mixing: the field
         // order fixes the encoding, so this is as collision-safe as
-        // eleven hashMix calls at an eighth of the cost.
-        const std::uint64_t fields[11] = {
+        // ten hashMix calls at an eighth of the cost.
+        const std::uint64_t fields[10] = {
             std::uint64_t(in.op),         in.vaddr,
             std::uint64_t(in.spad_row),   std::uint64_t(in.spad_row2),
             std::uint64_t(in.rows),       std::uint64_t(in.k),
-            std::uint64_t(in.peer),       std::uint64_t(in.act),
-            std::uint64_t(in.accumulate), std::uint64_t(in.privileged),
-            std::uint64_t(in.world)};
+            std::uint64_t(in.act),        std::uint64_t(in.accumulate),
+            std::uint64_t(in.privileged), std::uint64_t(in.world)};
         h = hashBytesFast(fields, sizeof(fields), h);
-        switch (in.op) {
-          case Opcode::flush_spad:  // functional memory round trip
-          case Opcode::noc_send:    // fabric state is not bracketed
-          case Opcode::noc_recv:
-          case Opcode::sec_set_id:  // changes the core's world
+        if (in.op == Opcode::sec_set_id) // changes the core's world
             cacheable = false;
-            break;
-          default:
-            break;
-        }
     }
     for (std::size_t end : prog.layer_ends)
         h = hashMix(h, std::uint64_t(end));
@@ -108,7 +99,6 @@ coreConfigFingerprint(NpuCore &core)
     h = hashMix(h, std::uint64_t(p.timing_only));
     h = hashMix(h, std::uint64_t(p.dma.packet_bytes));
     h = hashMix(h, p.dma.issue_interval);
-    h = hashMix(h, std::uint64_t(p.dma.through_l2));
     h = hashMix(h, std::uint64_t(p.dma.channels));
     h = spadFingerprint(h, core.scratchpad());
     h = spadFingerprint(h, core.accumulator());
@@ -138,7 +128,6 @@ makeExecKey(std::uint32_t core_index, NpuCore &core,
     h = hashMix(h, std::uint64_t(core.idState()));
     h = hashMix(h, std::uint64_t(eo.flush));
     h = hashMix(h, eo.flush_save_area);
-    h = hashMix(h, std::uint64_t(eo.noc));
     h = hashMix(h, idImageFingerprint(core));
     h = hashMix(h, backend.timingFingerprint());
     h = hashMix(h, backend.contextFingerprint(va_base, va_bytes));

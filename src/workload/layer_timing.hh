@@ -66,9 +66,7 @@ std::uint64_t modelFingerprint(const ModelSpec &model);
 
 /**
  * Whether the cache can replay this program's side effects: false
- * when it contains flush_spad (functional memory traffic), NoC ops
- * (fabric state the brackets do not canonicalize), or sec_set_id
- * (core world changes).
+ * when it contains sec_set_id (core world changes).
  */
 bool programCacheable(const NpuProgram &prog);
 

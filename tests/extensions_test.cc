@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the §VII extensions: multiple hardware secure domains,
- * software-defined domains inside the monitor, and the TNPU-style
- * memory encryption engine that sNPU complements.
+ * Tests for the §VII extensions: multiple hardware secure domains
+ * and the TNPU-style memory encryption engine that sNPU complements.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "spad/scratchpad.hh"
-#include "tee/monitor/soft_domains.hh"
 
 namespace snpu
 {
@@ -182,68 +180,6 @@ TEST_P(MultiDomainProperty, NoCrossDomainLeak)
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiDomainProperty,
                          ::testing::Values(3, 17, 1234));
 
-TEST(SoftDomains, RegisterAndCheck)
-{
-    stats::Group stats("g");
-    SoftDomainTable table(stats);
-    SoftDomain d1;
-    d1.task_id = 1;
-    d1.spad_rows[0] = {0, 100};
-    d1.windows.push_back(AddrRange{0x1000, 0x1000});
-    ASSERT_TRUE(table.registerDomain(d1));
-
-    EXPECT_TRUE(table.checkSpad(1, 0, 50));
-    EXPECT_FALSE(table.checkSpad(1, 0, 100));
-    EXPECT_FALSE(table.checkSpad(1, 1, 50)); // no grant on core 1
-    EXPECT_TRUE(table.checkMemory(1, 0x1800, 64));
-    EXPECT_FALSE(table.checkMemory(1, 0x2000, 64));
-    EXPECT_FALSE(table.checkMemory(2, 0x1800, 64)); // unknown task
-    EXPECT_GT(table.checksPerformed(), 0u);
-    EXPECT_GT(table.denialCount(), 0u);
-}
-
-TEST(SoftDomains, OverlappingGrantsRejected)
-{
-    stats::Group stats("g");
-    SoftDomainTable table(stats);
-    SoftDomain d1;
-    d1.task_id = 1;
-    d1.spad_rows[0] = {0, 100};
-    d1.windows.push_back(AddrRange{0x1000, 0x1000});
-    ASSERT_TRUE(table.registerDomain(d1));
-
-    SoftDomain d2;
-    d2.task_id = 2;
-    d2.spad_rows[0] = {50, 100}; // overlaps d1 on core 0
-    EXPECT_FALSE(table.registerDomain(d2));
-    d2.spad_rows[0] = {100, 100};
-    d2.windows.push_back(AddrRange{0x1800, 0x100}); // overlaps window
-    EXPECT_FALSE(table.registerDomain(d2));
-    d2.windows.clear();
-    d2.windows.push_back(AddrRange{0x3000, 0x100});
-    EXPECT_TRUE(table.registerDomain(d2));
-
-    // Unregister frees the grants for reuse.
-    EXPECT_TRUE(table.unregisterDomain(1));
-    SoftDomain d3;
-    d3.task_id = 3;
-    d3.spad_rows[0] = {0, 100};
-    EXPECT_TRUE(table.registerDomain(d3));
-    EXPECT_FALSE(table.unregisterDomain(99));
-}
-
-TEST(SoftDomains, DuplicateOrZeroIdRejected)
-{
-    stats::Group stats("g");
-    SoftDomainTable table(stats);
-    SoftDomain d;
-    d.task_id = 0;
-    EXPECT_FALSE(table.registerDomain(d));
-    d.task_id = 7;
-    EXPECT_TRUE(table.registerDomain(d));
-    EXPECT_FALSE(table.registerDomain(d));
-}
-
 double
 statValue(const stats::Group &g, const char *name)
 {
@@ -253,8 +189,9 @@ statValue(const stats::Group &g, const char *name)
 
 TEST(MemCrypto, DisabledIsFree)
 {
-    // The same uncached access with and without memory_encryption:
-    // only the encrypted system pays, and only it counts blocks.
+    // The same cold (L2-missing) access with and without
+    // memory_encryption: only the encrypted system pays for the
+    // line fill, and only it counts blocks.
     stats::Group plain_stats("p"), enc_stats("e");
     MemSystemParams enc;
     enc.memory_encryption = true;
@@ -262,9 +199,9 @@ TEST(MemCrypto, DisabledIsFree)
     MemSystem with(enc_stats, {}, enc);
     const MemRequest req{plain.map().dram().base, 64, MemOp::read,
                          World::normal};
-    const Tick plain_done = plain.accessUncached(0, req).done;
+    const Tick plain_done = plain.access(0, req).done;
     const CounterModeParams p;
-    EXPECT_EQ(with.accessUncached(0, req).done,
+    EXPECT_EQ(with.access(0, req).done,
               plain_done + p.aes_latency + p.counter_miss_penalty);
     EXPECT_EQ(statValue(plain_stats, "mee_blocks"), 0);
     EXPECT_EQ(statValue(enc_stats, "mee_blocks"), 1);

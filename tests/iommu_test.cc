@@ -66,6 +66,10 @@ TEST_F(IommuFixture, RemapConflictRejected)
 {
     ASSERT_TRUE(table.map(0x20000, data_base, true, false));
     EXPECT_FALSE(table.map(0x20000, data_base + 0x1000, true, false));
+    EXPECT_FALSE(table.map(0x20000, data_base, false, false));
+    // Mapping the page again exactly as it is mapped is no conflict.
+    EXPECT_TRUE(table.map(0x20000, data_base, true, false));
+    EXPECT_TRUE(table.lookup(0x20000).writable);
 }
 
 TEST_F(IommuFixture, UnmapRemovesTranslation)
@@ -85,6 +89,39 @@ TEST_F(IommuFixture, MapRangeCoversEveryPage)
         EXPECT_EQ(table.lookup(0x100000 + off).paddr,
                   data_base + off);
     }
+}
+
+TEST_F(IommuFixture, OverlappingMapRangeMapsTheNewPages)
+{
+    // A second window that starts where an earlier one did keeps the
+    // identical pages and maps the ones past its end.
+    ASSERT_TRUE(table.mapRange(0x200000, data_base, 2 * page_bytes,
+                               true, false));
+    ASSERT_TRUE(table.mapRange(0x200000, data_base, 5 * page_bytes,
+                               true, false));
+    for (Addr off = 0; off < 5 * page_bytes; off += page_bytes)
+        EXPECT_EQ(table.lookup(0x200000 + off).paddr, data_base + off);
+}
+
+TEST_F(IommuFixture, BeginContextReportsAConflictingWindow)
+{
+    Iommu iommu = makeIommu(4);
+    const Addr va = 0x400000;
+    ASSERT_TRUE(iommu.beginContext(
+        ProtectionContext{va, data_base, page_bytes, World::normal},
+        true).isOk());
+    // Growing the window from the same base maps its new pages.
+    ASSERT_TRUE(iommu.beginContext(
+        ProtectionContext{va, data_base, 3 * page_bytes, World::normal},
+        true).isOk());
+    EXPECT_TRUE(table.lookup(va + 2 * page_bytes).valid);
+    // A window over the same VAs onto other frames is refused.
+    const Status st = iommu.beginContext(
+        ProtectionContext{va, data_base + (1u << 20), page_bytes,
+                          World::normal},
+        true);
+    EXPECT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), StatusCode::provision_failed);
 }
 
 TEST_F(IommuFixture, TimedWalkCostsMemoryAccesses)

@@ -17,8 +17,7 @@ TEST(Isa, AllOpcodesNamed)
 {
     for (Opcode op : {Opcode::config, Opcode::mvin, Opcode::mvin_weight,
                       Opcode::mvout, Opcode::preload, Opcode::compute,
-                      Opcode::noc_send, Opcode::noc_recv, Opcode::fence,
-                      Opcode::flush_spad, Opcode::sec_set_id,
+                      Opcode::fence, Opcode::sec_set_id,
                       Opcode::sec_reset_spad}) {
         EXPECT_STRNE(opcodeName(op), "?");
     }
@@ -63,18 +62,6 @@ TEST(Isa, PrivilegedInstructionsMarked)
     EXPECT_NE(text.find("secure"), std::string::npos);
     in.privileged = false;
     EXPECT_EQ(in.toString().find("[priv]"), std::string::npos);
-}
-
-TEST(Isa, NocSendRendersPeer)
-{
-    Instr in;
-    in.op = Opcode::noc_send;
-    in.peer = 5;
-    in.spad_row = 3;
-    in.rows = 9;
-    const std::string text = in.toString();
-    EXPECT_NE(text.find("peer=5"), std::string::npos);
-    EXPECT_NE(text.find("n=9"), std::string::npos);
 }
 
 TEST(Isa, WorldNames)

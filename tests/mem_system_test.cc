@@ -64,23 +64,6 @@ TEST_F(MemSystemFixture, DeniedAccessHasNoTimingSideEffect)
     EXPECT_EQ(mem.dram().nextFree(), free_before);
 }
 
-TEST_F(MemSystemFixture, UncachedPathBypassesL2)
-{
-    MemRequest req{mem.map().dram().base, 64, MemOp::read,
-                   World::normal};
-    mem.accessUncached(0, req);
-    mem.accessUncached(200, req);
-    EXPECT_EQ(mem.l2().hits(), 0u);
-    EXPECT_EQ(mem.l2().misses(), 0u);
-}
-
-TEST_F(MemSystemFixture, UncachedStillEnforcesPartition)
-{
-    MemRequest req{mem.map().secureRegion().base, 64, MemOp::read,
-                   World::normal};
-    EXPECT_FALSE(mem.accessUncached(0, req).ok);
-}
-
 TEST_F(MemSystemFixture, CachedPathUsesL2)
 {
     MemRequest req{mem.map().dram().base, 64, MemOp::read,

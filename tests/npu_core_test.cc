@@ -312,16 +312,22 @@ TEST_F(CoreFixture, ComputeOverlapsWithNextLoad)
     EXPECT_LT(overlapped.cycles(), fenced.cycles());
 }
 
-TEST_F(CoreFixture, FlushInstructionAddsTraffic)
+TEST_F(CoreFixture, TileFlushAddsTraffic)
 {
+    // A tile boundary under tile-granular flushing saves and
+    // restores the tile's live rows; without flushing it is free.
     NpuProgram prog;
     prog.spad_rows_used = 64;
-    Instr flush;
-    flush.op = Opcode::flush_spad;
-    prog.code.push_back(flush);
+    prog.tile_live_rows = 64;
+    Instr fence;
+    fence.op = Opcode::fence;
+    prog.code.push_back(fence);
+    prog.tile_ends = {0};
 
     ExecOptions opts;
     opts.flush_save_area = base + 0x100000;
+    EXPECT_EQ(core->run(0, prog, opts).flush_cycles, 0u);
+    opts.flush = FlushGranularity::tile;
     ExecResult res = core->run(0, prog, opts);
     ASSERT_TRUE(res.ok());
     EXPECT_GT(res.flush_cycles, 0u);

@@ -19,23 +19,22 @@ namespace
 {
 
 /**
- * A miniature simulation: drains a per-job event chain and mixes the
- * job's private RNG stream into a digest. Exercises both context
- * members, so any cross-thread contamination changes the result.
+ * A miniature simulation: mixes a data-dependent walk over the job's
+ * private RNG stream into a digest, so any cross-thread sharing of
+ * context state changes the result.
  */
 std::uint64_t
 simulate(SweepContext &ctx)
 {
     std::uint64_t digest = ctx.seed();
-    EventQueue &eq = ctx.events();
     for (int i = 0; i < 32; ++i) {
-        eq.scheduleIn(1 + ctx.rng().below(64), [&digest, &ctx, i] {
-            digest = digest * 6364136223846793005ULL +
-                     ctx.rng().next() + static_cast<std::uint64_t>(i);
-        });
+        const std::uint64_t skip = ctx.rng().below(4);
+        for (std::uint64_t s = 0; s < skip; ++s)
+            ctx.rng().next();
+        digest = digest * 6364136223846793005ULL + ctx.rng().next() +
+                 static_cast<std::uint64_t>(i);
     }
-    eq.run();
-    return digest ^ eq.now();
+    return digest;
 }
 
 std::vector<SweepOutcome<std::uint64_t>>
@@ -164,21 +163,22 @@ TEST(SweepRunner, MorePoolReuseThanThreads)
     }
 }
 
-TEST(SweepRunner, ContextQueueStartsFresh)
+TEST(SweepRunner, ContextRngStartsFresh)
 {
+    // Every job's RNG starts at its own seed, however many jobs ran
+    // on the same worker before it.
     SweepRunner runner(SweepOptions{2});
-    std::vector<std::function<std::uint64_t(SweepContext &)>> jobs;
+    std::vector<std::function<bool(SweepContext &)>> jobs;
     for (int i = 0; i < 6; ++i) {
         jobs.push_back([](SweepContext &ctx) {
-            EXPECT_EQ(ctx.events().now(), 0u);
-            EXPECT_EQ(ctx.events().executed(), 0u);
-            EXPECT_EQ(ctx.events().pending(), 0u);
-            ctx.events().scheduleIn(5, [] {});
-            return ctx.events().run();
+            Rng fresh(ctx.seed());
+            const bool same = ctx.rng().next() == fresh.next();
+            ctx.rng().next();
+            return same;
         });
     }
-    for (const auto &o : runner.map<std::uint64_t>(jobs))
-        EXPECT_EQ(o.value, 5u);
+    for (const auto &o : runner.map<bool>(jobs))
+        EXPECT_TRUE(o.value);
 }
 
 TEST(SweepThreadCount, ExplicitWinsOverEnvironment)
