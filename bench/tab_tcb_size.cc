@@ -20,14 +20,12 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    ArgSpec("tab_tcb_size").json(&json_path).parse(argc, argv);
-
-    banner("TCB size (§VI-F)",
-           "Trusted computing base of the NPU software stack");
+    ArgSpec args("tab_tcb_size");
+    args.json(&json_path).parse(argc, argv);
 
     // Locate the source tree whether we run from the repo root or
-    // from inside build/.
-    std::string root = "src";
+    // from inside build/. Without it there is nothing to measure.
+    std::string root;
     for (const char *candidate :
          {"src", "../src", "../../src", "../../../src"}) {
         if (std::filesystem::exists(std::string(candidate) +
@@ -36,6 +34,14 @@ main(int argc, char **argv)
             break;
         }
     }
+    if (root.empty()) {
+        args.fail("no source tree (src/tee/monitor) in the working "
+                  "directory or up to three levels above it; run from "
+                  "the repository or its build tree");
+    }
+
+    banner("TCB size (§VI-F)",
+           "Trusted computing base of the NPU software stack");
 
     const auto inventory = tcbInventory(root);
     Table table({"component", "LoC", "trusted", "source"});

@@ -188,7 +188,11 @@ TaskRunner::runPipeline(const NpuTask &task,
         num_stages = static_cast<std::uint32_t>(cores.size());
     const auto stages = balanceStages(task.model, num_stages);
 
-    TilingCompiler compiler(compilerParams(task.world));
+    const CompilerParams cparams = compilerParams(task.world);
+    TilingCompiler compiler(cparams);
+    // Under a static partition the task's rows start at its slice's
+    // base; the claims and the NoC staging rows must start there too.
+    const std::uint32_t row_base = cparams.spad_row_base;
 
     const AddrRange &arena = soc.mem().map().npuArena(task.world);
     Addr cursor = task.world == World::secure
@@ -252,7 +256,7 @@ TaskRunner::runPipeline(const NpuTask &task,
         // claim the rows under its identity (the context setter's
         // reservation). Without this, a secure stage whose A loads
         // arrive over the NoC would read rows still tagged normal.
-        for (std::uint32_t r = 0; r < program.spad_rows_used; ++r)
+        for (std::uint32_t r = row_base; r < program.spad_rows_used; ++r)
             core.scratchpad().write(task.world, r, nullptr);
 
         ExecResult exec = core.run(t, program);
@@ -279,14 +283,15 @@ TaskRunner::runPipeline(const NpuTask &task,
                     static_cast<std::uint32_t>(std::min<std::uint64_t>(
                         chunk, act_rows));
                 for (std::uint32_t r = 0; r < stage_rows; ++r)
-                    src.scratchpad().write(task.world, r, nullptr);
+                    src.scratchpad().write(task.world, row_base + r,
+                                           nullptr);
                 std::uint64_t remaining = act_rows;
                 while (remaining > 0) {
                     const auto rows = static_cast<std::uint32_t>(
                         std::min<std::uint64_t>(chunk, remaining));
                     NocResult nres = soc.npu().fabric().transfer(
-                        t, core_id, cores[(s + 1) % cores.size()], 0,
-                        0, rows);
+                        t, core_id, cores[(s + 1) % cores.size()],
+                        row_base, row_base, rows);
                     if (!nres.ok) {
                         result.status = Status::execFailed(
                             "NoC transfer rejected between stages");

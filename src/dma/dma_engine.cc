@@ -62,7 +62,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
         panic("DMA write buffer smaller than request");
 
     if (control->granularity() == CheckGranularity::request)
-        return transferPerRequest(when, req, buffer);
+        return transferStream(when, req, buffer);
 
     DmaResult result;
     Tick issue = when;
@@ -144,17 +144,13 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
 }
 
 DmaResult
-DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
-                              std::vector<std::uint8_t> *buffer)
+DmaEngine::transferStream(Tick when, const DmaRequest &req,
+                          std::vector<std::uint8_t> *buffer)
 {
-    // Request-granular controller (Guarder / pass-through): exactly
-    // one translation covers the whole request, so the packet loop
-    // below provably performs no per-packet checks. That lets us run
-    // a branch-free timing loop, bump the stats once, and move the
-    // functional bytes in a single contiguous copy — the physical
-    // range is contiguous by construction. Timing is identical to
-    // the generic loop: same packet split, same issue cadence, same
-    // completion max.
+    // Request-granular controller (Guarder / pass-through / crypto):
+    // exactly one translation covers the whole request, and the
+    // physical range is contiguous by construction, so its packets
+    // are one memory stream and the functional bytes one copy.
     Translation req_xl = control->translate(when, req.vaddr, req.bytes,
                                             req.op, req.world);
     if (req_xl.ready < when) {
@@ -169,30 +165,19 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
         return DmaResult{when, false, false, 0};
     }
 
+    const MemStreamResult ms =
+        mem.stream(req_xl.ready, req_xl.paddr, req.bytes,
+                   params.packet_bytes, params.issue_interval, req.op,
+                   req.world);
     DmaResult result;
-    Tick issue = req_xl.ready;
-    std::uint32_t packets = 0;
-    std::uint32_t offset = 0;
-
-    while (offset < req.bytes) {
-        const std::uint32_t chunk =
-            std::min(params.packet_bytes, req.bytes - offset);
-        MemRequest mreq{req_xl.paddr + offset, chunk, req.op,
-                        req.world};
-        MemResult mres = mem.access(issue, mreq);
-        if (!mres.ok) {
-            ++denied_requests;
-            packets_issued += packets;
-            bytes_moved += offset;
-            result.packets = packets;
-            result.ok = false;
-            result.done = issue;
-            return result;
-        }
-        ++packets;
-        result.done = std::max(result.done, mres.done);
-        issue += params.issue_interval;
-        offset += chunk;
+    result.packets = static_cast<std::uint32_t>(ms.beats);
+    packets_issued += static_cast<double>(ms.beats);
+    if (!ms.ok) {
+        ++denied_requests;
+        bytes_moved += static_cast<double>(ms.beats * params.packet_bytes);
+        result.ok = false;
+        result.done = ms.done;
+        return result;
     }
 
     if (buffer) {
@@ -202,13 +187,11 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
             mem.data().write(req_xl.paddr, buffer->data(), req.bytes);
     }
 
-    packets_issued += packets;
     bytes_moved += req.bytes;
-    result.packets = packets;
     stall_cycles.sample(0.0);
-    result.done = std::max(result.done, issue);
-    result.done += control->transferOverhead(result.done, req_xl.paddr,
-                                             req.bytes, req.op);
+    result.done = ms.done +
+                  control->transferOverhead(ms.done, req_xl.paddr,
+                                            req.bytes, req.op);
     tracer.emit(result.done, TraceCategory::dma, trace_name,
                 req.op == MemOp::read ? "read" : "write", " of ",
                 req.bytes, " B done: ", result.packets,
@@ -223,6 +206,14 @@ DmaEngine::transferBatch(
 {
     if (reqs.size() != buffers.size())
         panic("transferBatch: request/buffer count mismatch");
+    // A batch moves loads only, so no stream reads bytes another one
+    // writes: copying each request-granular stream's bytes once after
+    // the timing loop moves what per-packet copies would.
+    for (const DmaRequest &req : reqs) {
+        if (req.op != MemOp::read)
+            panic("transferBatch: write request at va 0x", std::hex,
+                  req.vaddr, " (a batch moves loads only)");
+    }
 
     DmaResult result;
     result.done = when;
@@ -257,12 +248,8 @@ DmaEngine::transferBatch(
         ++requests;
         if (req.bytes == 0)
             continue;
-        if (buffers[i] && req.op == MemOp::read)
+        if (buffers[i])
             buffers[i]->assign(req.bytes, 0);
-        if (buffers[i] && req.op == MemOp::write &&
-            buffers[i]->size() < req.bytes) {
-            panic("DMA write buffer smaller than request");
-        }
         Stream s;
         s.req = &req;
         s.buffer = buffers[i];
@@ -294,12 +281,14 @@ DmaEngine::transferBatch(
     // issue pipeline has a slot.
     Tick t_req = when;
     Tick issue = when;
+    std::uint64_t bytes = 0;
     std::size_t live = streams.size();
     std::size_t rr = 0;
     while (live > 0) {
-        Stream &s = streams[rr % streams.size()];
-        ++rr;
-        if (!s.req || s.offset >= s.req->bytes)
+        Stream &s = streams[rr];
+        if (++rr == streams.size())
+            rr = 0;
+        if (s.offset >= s.req->bytes)
             continue;
 
         std::uint32_t chunk =
@@ -324,6 +313,8 @@ DmaEngine::transferBatch(
             t_req += 1;
             if (!xl.ok) {
                 ++denied_requests;
+                packets_issued += result.packets;
+                bytes_moved += static_cast<double>(bytes);
                 result.ok = false;
                 result.done = t_req;
                 return result;
@@ -332,31 +323,41 @@ DmaEngine::transferBatch(
             packet_pa = xl.paddr;
         }
 
-        MemRequest mreq{packet_pa, chunk, s.req->op, s.req->world};
-        MemResult mres = mem.access(issue, mreq);
+        MemResult mres = mem.access(
+            issue, MemRequest{packet_pa, chunk, MemOp::read,
+                              s.req->world});
         if (!mres.ok) {
             ++denied_requests;
+            packets_issued += result.packets;
+            bytes_moved += static_cast<double>(bytes);
             result.ok = false;
             result.done = issue;
             return result;
         }
-        if (s.buffer) {
-            if (s.req->op == MemOp::read) {
-                mem.data().read(packet_pa,
-                                s.buffer->data() + s.offset, chunk);
-            } else {
-                mem.data().write(packet_pa,
-                                 s.buffer->data() + s.offset, chunk);
-            }
+        // Packet-granular streams translate each packet on its own
+        // page, so their bytes move packet by packet.
+        if (s.buffer && !per_request) {
+            mem.data().read(packet_pa, s.buffer->data() + s.offset,
+                            chunk);
         }
-        ++packets_issued;
         ++result.packets;
-        bytes_moved += chunk;
+        bytes += chunk;
         result.done = std::max(result.done, mres.done);
         issue += params.issue_interval;
         s.offset += chunk;
         if (s.offset >= s.req->bytes)
             --live;
+    }
+    packets_issued += result.packets;
+    bytes_moved += static_cast<double>(bytes);
+
+    if (per_request) {
+        for (const Stream &s : streams) {
+            if (s.buffer) {
+                mem.data().read(s.req_xl.paddr, s.buffer->data(),
+                                s.req->bytes);
+            }
+        }
     }
 
     result.done = std::max(result.done, issue);

@@ -84,7 +84,7 @@ class DmaEngine
      * With a packet-granular controller (IOMMU) the interleaving is
      * what produces IOTLB ping-pong when the stream count exceeds
      * the entry count. @p buffers parallels @p reqs (entries may be
-     * null).
+     * null). Every request must be a load; a write panics.
      */
     DmaResult transferBatch(
         Tick when, const std::vector<DmaRequest> &reqs,
@@ -121,13 +121,12 @@ class DmaEngine
 
   private:
     /**
-     * Fast path for request-granular controllers: one up-front
-     * check, a branch-free packet timing loop, one contiguous
-     * functional copy, batched stat updates. Timing-identical to the
-     * generic per-packet loop.
+     * Request-granular controllers: one up-front check, the packets
+     * as one MemSystem::stream, one contiguous functional copy.
+     * Timing-identical to the per-packet loop.
      */
-    DmaResult transferPerRequest(Tick when, const DmaRequest &req,
-                                 std::vector<std::uint8_t> *buffer);
+    DmaResult transferStream(Tick when, const DmaRequest &req,
+                             std::vector<std::uint8_t> *buffer);
 
     MemSystem &mem;
     AccessControl *control;

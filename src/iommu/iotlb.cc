@@ -1,5 +1,7 @@
 #include "iommu/iotlb.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace snpu
@@ -9,63 +11,38 @@ Iotlb::Iotlb(std::uint32_t count)
 {
     if (count == 0)
         fatal("IOTLB needs at least one entry");
+    tags.assign(count, invalid_tag);
     entries.resize(count);
-}
-
-const IotlbEntry *
-Iotlb::lookup(Addr vpn)
-{
-    for (auto &e : entries) {
-        if (e.valid && e.vpn == vpn) {
-            e.lru = ++clock;
-            ++hit_count;
-            return &e;
-        }
-    }
-    ++miss_count;
-    return nullptr;
 }
 
 void
 Iotlb::insert(Addr vpn, Addr ppn, bool writable, bool secure)
 {
-    IotlbEntry *victim = &entries[0];
-    for (auto &e : entries) {
-        if (e.valid && e.vpn == vpn) {
-            victim = &e;
+    std::size_t victim = 0;
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        if (tags[i] == vpn || tags[i] == invalid_tag) {
+            victim = i;
             break;
         }
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
+        if (entries[i].lru < entries[victim].lru)
+            victim = i;
     }
-    if (victim->valid && victim->vpn != vpn)
+    if (tags[victim] != invalid_tag && tags[victim] != vpn)
         ++evict_count;
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->ppn = ppn;
-    victim->writable = writable;
-    victim->secure = secure;
-    victim->lru = ++clock;
+    tags[victim] = vpn;
+    entries[victim] = IotlbEntry{ppn, writable, secure, ++clock};
 }
 
 void
 Iotlb::flushAll()
 {
-    for (auto &e : entries)
-        e.valid = false;
+    std::fill(tags.begin(), tags.end(), invalid_tag);
 }
 
 void
 Iotlb::flushPage(Addr vpn)
 {
-    for (auto &e : entries) {
-        if (e.valid && e.vpn == vpn)
-            e.valid = false;
-    }
+    std::replace(tags.begin(), tags.end(), vpn, invalid_tag);
 }
 
 } // namespace snpu

@@ -17,11 +17,9 @@
 namespace snpu
 {
 
-/** A cached translation. */
+/** A cached translation (its VPN lives in the packed tag array). */
 struct IotlbEntry
 {
-    bool valid = false;
-    Addr vpn = 0;
     Addr ppn = 0;
     bool writable = false;
     bool secure = false;
@@ -35,7 +33,19 @@ class Iotlb
     explicit Iotlb(std::uint32_t entries);
 
     /** @return the entry for @p vpn or nullptr on miss. */
-    const IotlbEntry *lookup(Addr vpn);
+    const IotlbEntry *
+    lookup(Addr vpn)
+    {
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            if (tags[i] == vpn) {
+                entries[i].lru = ++clock;
+                ++hit_count;
+                return &entries[i];
+            }
+        }
+        ++miss_count;
+        return nullptr;
+    }
 
     /** Install (or refresh) a translation. */
     void insert(Addr vpn, Addr ppn, bool writable, bool secure);
@@ -55,6 +65,11 @@ class Iotlb
     std::uint64_t evictions() const { return evict_count; }
 
   private:
+    /** Never a VPN: page numbers are at most 52 bits wide. */
+    static constexpr Addr invalid_tag = ~Addr(0);
+
+    /** Per-entry VPN, or invalid_tag when the entry is invalid. */
+    std::vector<Addr> tags;
     std::vector<IotlbEntry> entries;
     std::uint64_t clock = 0;
     std::uint64_t hit_count = 0;

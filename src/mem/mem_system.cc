@@ -19,23 +19,4 @@ MemSystem::MemSystem(stats::Group &stats, AddressMap map,
 {
 }
 
-bool
-MemSystem::check(const MemRequest &req)
-{
-    ++accesses;
-    if (!_map.accessAllowed(req.world, req.paddr, req.bytes)) {
-        ++violations;
-        return false;
-    }
-    return true;
-}
-
-MemResult
-MemSystem::access(Tick when, const MemRequest &req)
-{
-    if (!check(req))
-        return MemResult{when, false, false};
-    return _l2.access(when, req);
-}
-
 } // namespace snpu

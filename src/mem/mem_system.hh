@@ -9,8 +9,8 @@
 #ifndef SNPU_MEM_MEM_SYSTEM_HH
 #define SNPU_MEM_MEM_SYSTEM_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "mem/address_map.hh"
 #include "mem/dram_model.hh"
@@ -18,6 +18,7 @@
 #include "mem/mem_crypto.hh"
 #include "mem/mem_types.hh"
 #include "mem/phys_mem.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -45,7 +46,60 @@ class MemSystem
               MemSystemParams params = {});
 
     /** Timed access; also counts partition violations. */
-    MemResult access(Tick when, const MemRequest &req);
+    MemResult
+    access(Tick when, const MemRequest &req)
+    {
+        if (!check(req))
+            return MemResult{when, false, false};
+        return _l2.access(when, req);
+    }
+
+    /**
+     * Timed contiguous stream: [paddr, paddr + bytes) moves in beats
+     * of @p beat_bytes (the last may be shorter), beat k issuing at
+     * first_issue + k * interval. Equivalent to one access() per
+     * beat, but a range the partition allows whole is checked once.
+     * A range it does not allow runs beat by beat and stops at the
+     * first denied beat, so the denial, the accesses counted before
+     * it and their timing match a per-beat stream exactly.
+     */
+    MemStreamResult
+    stream(Tick first_issue, Addr paddr, std::uint64_t bytes,
+           std::uint32_t beat_bytes, Tick interval, MemOp op,
+           World world)
+    {
+        if (beat_bytes == 0)
+            panic("zero-byte stream beat");
+        MemStreamResult result;
+        Tick issue = first_issue;
+        Tick done = first_issue;
+        const bool allowed = _map.accessAllowed(world, paddr, bytes);
+        if (allowed)
+            accesses += static_cast<double>(
+                (bytes + beat_bytes - 1) / beat_bytes);
+        for (std::uint64_t off = 0; off < bytes; off += beat_bytes) {
+            const auto chunk = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(beat_bytes, bytes - off));
+            if (allowed) {
+                done = std::max(
+                    done, _l2.accessRange(issue, paddr + off, chunk, op));
+            } else {
+                const MemResult res =
+                    access(issue, MemRequest{paddr + off, chunk, op,
+                                             world});
+                if (!res.ok) {
+                    result.ok = false;
+                    result.done = issue;
+                    return result;
+                }
+                done = std::max(done, res.done);
+            }
+            ++result.beats;
+            issue += interval;
+        }
+        result.done = std::max(done, issue);
+        return result;
+    }
 
     /** Functional data path (no timing, no checks). */
     PhysMem &data() { return mem; }
@@ -77,7 +131,16 @@ class MemSystem
     }
 
   private:
-    bool check(const MemRequest &req);
+    bool
+    check(const MemRequest &req)
+    {
+        ++accesses;
+        if (!_map.accessAllowed(req.world, req.paddr, req.bytes)) {
+            ++violations;
+            return false;
+        }
+        return true;
+    }
 
     AddressMap _map;
     PhysMem mem;

@@ -53,6 +53,21 @@ struct MemResult
     bool l2_hit = false;
 };
 
+/** Outcome of a timed contiguous stream (MemSystem::stream). */
+struct MemStreamResult
+{
+    /** False when the world partition rejected a beat. */
+    bool ok = true;
+    /** Beats served before the stream ended or was stopped. */
+    std::uint64_t beats = 0;
+    /**
+     * Served whole: the latest beat completion, and never before the
+     * issue slot after the last beat. Stopped: the denied beat's
+     * issue tick.
+     */
+    Tick done = 0;
+};
+
 } // namespace snpu
 
 #endif // SNPU_MEM_MEM_TYPES_HH

@@ -15,6 +15,7 @@
 #ifndef SNPU_SIM_STATS_HH
 #define SNPU_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -130,7 +131,28 @@ class Average : public StatBase
         : StatBase(group, std::move(name), std::move(desc))
     {}
 
-    void sample(double v);
+    void
+    sample(double v)
+    {
+        if (_count == 0) {
+            _min = v;
+            _max = v;
+        } else {
+            _min = std::min(_min, v);
+            _max = std::max(_max, v);
+        }
+        if (cap_armed) {
+            if (_count == cap_count) {
+                win_min = v;
+                win_max = v;
+            } else {
+                win_min = std::min(win_min, v);
+                win_max = std::max(win_max, v);
+            }
+        }
+        _sum += v;
+        ++_count;
+    }
 
     std::uint64_t count() const { return _count; }
     double mean() const { return _count ? _sum / _count : 0.0; }

@@ -37,22 +37,16 @@ Tick
 FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
                     World world)
 {
+    // One row issues per cycle. The rows are contiguous in the
+    // scratchpad and in the save area, so the traffic is one memory
+    // stream and the context bytes move in one copy.
     const std::uint32_t row_bytes = spad.rowBytes();
-    Tick t = when;
-    Tick done = when;
-    for (std::uint32_t row = 0; row < rows; ++row) {
-        MemRequest req{area + static_cast<Addr>(row) * row_bytes,
-                       row_bytes, op, world};
-        MemResult res = mem.access(t, req);
-        if (!res.ok)
-            fatal("flush engine denied by the world partition");
-        done = std::max(done, res.done);
-        t += 1; // one row issued per cycle
-    }
-
-    // Functional movement of the context bytes: the rows are
-    // contiguous in the scratchpad and in the save area.
     const std::size_t bytes = static_cast<std::size_t>(rows) * row_bytes;
+    const MemStreamResult ms =
+        mem.stream(when, area, bytes, row_bytes, 1, op, world);
+    if (!ms.ok)
+        fatal("flush engine denied by the world partition");
+
     if (bytes > 0) {
         if (op == MemOp::write)
             mem.data().write(area, spad.rawRow(0), bytes);
@@ -60,7 +54,7 @@ FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
             mem.data().read(area, spad.rawRow(0), bytes);
     }
     bytes_moved += static_cast<double>(bytes);
-    return std::max(done, t);
+    return ms.done;
 }
 
 Tick

@@ -12,6 +12,7 @@
 
 #include "dma/dma_engine.hh"
 #include "mem/mem_system.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -148,6 +149,19 @@ TEST_F(DmaFixture, PartitionDenialAbortsTransfer)
                    World::normal};
     DmaResult res = engine.transfer(0, req, nullptr);
     EXPECT_FALSE(res.ok);
+}
+
+TEST_F(DmaFixture, BatchRejectsWriteRequests)
+{
+    // A batch copies each stream's bytes after its timing loop, which
+    // matches per-packet copies only while every request is a load.
+    const std::vector<DmaRequest> reqs{
+        DmaRequest{base, 256, MemOp::read, World::normal},
+        DmaRequest{base + 4096, 256, MemOp::write, World::normal}};
+    std::vector<std::uint8_t> data(256, 0xab);
+    EXPECT_THROW(engine.transferBatch(0, reqs, {nullptr, &data}),
+                 PanicError);
+    EXPECT_EQ(mem.l2().misses(), 0u); // rejected before any access
 }
 
 TEST_F(DmaFixture, FunctionalReadMovesBytes)

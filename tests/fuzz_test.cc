@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/soc.hh"
@@ -203,6 +205,147 @@ TEST_P(DmaEquivalence, BatchedAndSerialTransfersMoveSameBytes)
         for (std::size_t i = 0; i < reqs.size(); ++i)
             EXPECT_EQ(serial[i], batched[i]) << "stream " << i;
     }
+}
+
+/**
+ * The batched load loop as it was before request-granular streams
+ * copied their bytes once: a pass-through round robin with one
+ * access() and one copy per 64-byte packet, on its own memory
+ * system. Adds the packets and bytes it issued to @p packets and
+ * @p bytes.
+ */
+DmaResult
+perPacketBatch(MemSystem &mem, Tick when,
+               const std::vector<DmaRequest> &reqs,
+               std::vector<std::vector<std::uint8_t>> &bufs,
+               std::uint64_t &packets, std::uint64_t &bytes)
+{
+    DmaResult result;
+    result.done = when;
+    std::vector<std::uint32_t> offset(reqs.size(), 0);
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        bufs[i].assign(reqs[i].bytes, 0);
+        live += reqs[i].bytes > 0;
+    }
+    Tick issue = when;
+    std::size_t rr = 0;
+    while (live > 0) {
+        const std::size_t i = rr++ % reqs.size();
+        const DmaRequest &req = reqs[i];
+        if (offset[i] >= req.bytes)
+            continue;
+        const std::uint32_t chunk =
+            std::min<std::uint32_t>(64, req.bytes - offset[i]);
+        const Addr pa = req.vaddr + offset[i];
+        const MemResult mres = mem.access(
+            issue, MemRequest{pa, chunk, MemOp::read, req.world});
+        if (!mres.ok) {
+            result.ok = false;
+            result.done = issue;
+            return result;
+        }
+        mem.data().read(pa, bufs[i].data() + offset[i], chunk);
+        ++packets;
+        bytes += chunk;
+        ++result.packets;
+        result.done = std::max(result.done, mres.done);
+        issue += 1;
+        offset[i] += chunk;
+        if (offset[i] >= req.bytes)
+            --live;
+    }
+    result.done = std::max(result.done, issue);
+    return result;
+}
+
+std::string
+statText(const stats::Group &g, const std::string &name)
+{
+    const stats::StatBase *stat = g.find(name);
+    return stat ? stat->render() : "missing " + name;
+}
+
+TEST_P(DmaEquivalence, BatchWithPartitionDenialMatchesPerPacketReference)
+{
+    Rng rng(GetParam());
+    stats::Group stats("g");
+    stats::Group ref_stats("g");
+    MemSystem mem(stats);
+    MemSystem ref_mem(ref_stats);
+    PassThroughControl pass;
+    DmaEngine engine(stats, mem, pass);
+    const Addr base = mem.map().dram().base + (8u << 20);
+    const Addr secure_base = mem.map().secureRegion().base;
+
+    // The same random bytes in both memories, in the streamed region
+    // and just below the secure region.
+    std::vector<std::uint8_t> blob(64 * 1024);
+    for (auto &b : blob)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (MemSystem *m : {&mem, &ref_mem}) {
+        m->data().write(base, blob.data(), blob.size());
+        m->data().write(secure_base - 4096, blob.data(), 4096);
+    }
+
+    Tick t = 0;
+    int denied_batches = 0;
+    std::uint64_t ref_packets = 0;
+    std::uint64_t ref_bytes = 0;
+    for (int trial = 0; trial < 30; ++trial) {
+        std::vector<DmaRequest> reqs;
+        const auto n = 1 + rng.below(12);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            DmaRequest req;
+            req.vaddr = base + rng.below(blob.size() - 4096);
+            req.bytes = static_cast<std::uint32_t>(rng.below(2048));
+            req.op = MemOp::read;
+            req.world = World::normal;
+            reqs.push_back(req);
+        }
+        if (rng.chance(0.5)) {
+            // A normal-world stream that runs into the secure region:
+            // the partition denies the packet that crosses it.
+            DmaRequest &req = reqs[rng.below(reqs.size())];
+            req.vaddr = secure_base - 1 - rng.below(2048);
+            req.bytes = static_cast<std::uint32_t>(
+                (secure_base - req.vaddr) + 1 + rng.below(2048));
+        }
+
+        std::vector<std::vector<std::uint8_t>> batched(reqs.size());
+        std::vector<std::vector<std::uint8_t> *> ptrs;
+        for (auto &buffer : batched)
+            ptrs.push_back(&buffer);
+        const DmaResult got = engine.transferBatch(t, reqs, ptrs);
+
+        std::vector<std::vector<std::uint8_t>> expected(reqs.size());
+        const DmaResult want = perPacketBatch(ref_mem, t, reqs, expected,
+                                              ref_packets, ref_bytes);
+
+        ASSERT_EQ(got.ok, want.ok) << "trial " << trial;
+        EXPECT_EQ(got.done, want.done) << "trial " << trial;
+        EXPECT_EQ(got.packets, want.packets) << "trial " << trial;
+        if (got.ok) {
+            for (std::size_t i = 0; i < reqs.size(); ++i)
+                EXPECT_EQ(batched[i], expected[i]) << "stream " << i;
+        } else {
+            ++denied_batches;
+        }
+        t = std::max(t, got.done) + rng.below(100);
+    }
+    EXPECT_GT(denied_batches, 0);
+
+    for (const char *name :
+         {"mem_accesses", "mem_violations", "l2_hits", "l2_misses",
+          "l2_writebacks", "dram_reads", "dram_writes", "dram_bytes",
+          "dram_queue_delay"}) {
+        EXPECT_EQ(statText(stats, name), statText(ref_stats, name))
+            << name;
+    }
+    EXPECT_EQ(static_cast<const stats::Scalar *>(stats.find("dma_packets"))
+                  ->value(),
+              static_cast<double>(ref_packets));
+    EXPECT_EQ(engine.totalBytes(), ref_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DmaEquivalence,
