@@ -33,6 +33,11 @@ class PhysMem
   public:
     static constexpr std::size_t page_size = 4096;
 
+    PhysMem() = default;
+    // A copy would carry cached_page into the source's page map.
+    PhysMem(const PhysMem &) = delete;
+    PhysMem &operator=(const PhysMem &) = delete;
+
     void write(Addr addr, const void *src, std::size_t n);
     void read(Addr addr, void *dst, std::size_t n) const;
 

@@ -65,16 +65,41 @@ computeRowAvx2(const std::int8_t *a_row, std::uint32_t k,
     }
 }
 
-bool
-haveAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2");
-    return have;
-}
-
 #endif // SNPU_X86_SIMD
 
 } // namespace
+
+namespace systolic_detail
+{
+
+void
+computeRowScalar(const std::int8_t *a_row, std::uint32_t k,
+                 const std::int8_t *weights, std::uint32_t dim,
+                 std::int32_t *acc, bool accumulate)
+{
+    for (std::uint32_t col = 0; col < dim; ++col) {
+        std::int32_t sum = accumulate ? acc[col] : 0;
+        for (std::uint32_t i = 0; a_row && i < k; ++i) {
+            sum += static_cast<std::int32_t>(a_row[i]) *
+                   static_cast<std::int32_t>(
+                       weights[static_cast<std::size_t>(i) * dim + col]);
+        }
+        acc[col] = sum;
+    }
+}
+
+RowKernel
+avx2RowKernel()
+{
+#if SNPU_X86_SIMD
+    static const bool have = __builtin_cpu_supports("avx2");
+    return have ? computeRowAvx2 : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+} // namespace systolic_detail
 
 SystolicArray::SystolicArray(SystolicParams params)
     : params(params),
@@ -107,24 +132,14 @@ SystolicArray::computeRow(const std::int8_t *a_row, std::uint32_t k,
     if (!acc)
         return;
 #if SNPU_X86_SIMD
-    if (a_row && params.dim % 16 == 0 && haveAvx2()) {
+    if (a_row && params.dim % 16 == 0 && systolic_detail::avx2RowKernel()) {
         computeRowAvx2(a_row, k, weights.data(), params.dim, acc,
                        accumulate);
         return;
     }
 #endif
-    for (std::uint32_t col = 0; col < params.dim; ++col) {
-        std::int32_t sum = accumulate ? acc[col] : 0;
-        if (a_row) {
-            for (std::uint32_t i = 0; i < k; ++i) {
-                sum += static_cast<std::int32_t>(a_row[i]) *
-                       static_cast<std::int32_t>(
-                           weights[static_cast<std::size_t>(i) *
-                                   params.dim + col]);
-            }
-        }
-        acc[col] = sum;
-    }
+    systolic_detail::computeRowScalar(a_row, k, weights.data(), params.dim,
+                                      acc, accumulate);
 }
 
 } // namespace snpu

@@ -77,6 +77,30 @@ class SystolicArray
     std::vector<std::int8_t> weights; // dim*dim, row-major
 };
 
+namespace systolic_detail
+{
+
+/**
+ * A functional row kernel: SystolicArray::computeRow over a dense
+ * dim x dim row-major weight tile into a non-null @p acc.
+ */
+using RowKernel = void (*)(const std::int8_t *a_row, std::uint32_t k,
+                           const std::int8_t *weights, std::uint32_t dim,
+                           std::int32_t *acc, bool accumulate);
+
+/** The portable kernel: any host, any dim, null @p a_row as zeros. */
+void computeRowScalar(const std::int8_t *a_row, std::uint32_t k,
+                      const std::int8_t *weights, std::uint32_t dim,
+                      std::int32_t *acc, bool accumulate);
+
+/**
+ * The AVX2 kernel (non-null @p a_row, dim % 16 == 0), or null on a
+ * host without AVX2.
+ */
+RowKernel avx2RowKernel();
+
+} // namespace systolic_detail
+
 } // namespace snpu
 
 #endif // SNPU_NPU_SYSTOLIC_MODEL_HH

@@ -41,6 +41,18 @@ monitorLaunchCost(const SecureTask &task)
            context_setter_cycles;
 }
 
+/**
+ * A secure tenant's validated task plus the tenant-side SHA-256 of
+ * its ciphertext, which the attestation exchange names. The
+ * ciphertext never changes once built, so it is hashed once with the
+ * template; the digest stays here, outside the monitor's SecureTask.
+ */
+struct SecureTemplate
+{
+    std::shared_ptr<const SecureTask> task;
+    Digest model_digest{};
+};
+
 } // namespace
 
 SnpuServer::SnpuServer(Soc &soc, ServerConfig cfg)
@@ -173,11 +185,10 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     // SoC configuration) — the monitor's sealed key is a per-config
     // constant — so sweeps share one template across points through a
     // process-wide cache.
-    std::vector<std::shared_ptr<const SecureTask>> templates(ntenants);
+    std::vector<SecureTemplate> templates(ntenants);
     if (any_secure) {
         static std::mutex tpl_mu;
-        static std::unordered_map<std::uint64_t,
-                                  std::shared_ptr<const SecureTask>>
+        static std::unordered_map<std::uint64_t, SecureTemplate>
             tpl_cache;
         const std::uint64_t soc_fp = socConfigFingerprint(soc.params());
         TaskRunner runner(soc);
@@ -220,9 +231,11 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
                                                           mac));
             tpl->model_mac = mac;
             tpl->model_iv = iv;
+            const Digest model_digest = Sha256::hash(*tpl->encrypted_model);
 
             std::lock_guard<std::mutex> lock(tpl_mu);
-            auto [it, inserted] = tpl_cache.emplace(key, std::move(tpl));
+            auto [it, inserted] = tpl_cache.emplace(
+                key, SecureTemplate{std::move(tpl), model_digest});
             templates[s] = it->second;
         }
     }
@@ -256,9 +269,9 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
             // The model image the monitor attests is the encrypted
             // bundle it will verify at launch; the tenant knows the
             // same bytes (it provisioned them), so both sides can
-            // name the digest independently.
-            const Digest model_digest =
-                Sha256::hash(*templates[s]->encrypted_model);
+            // name the digest independently. The tenant's digest was
+            // taken once, with the template.
+            const Digest &model_digest = templates[s].model_digest;
             const Digest golden = BootChain::extend(
                 soc.goldenBootMeasurement(), model_digest);
             AttestVerifier verifier(soc.monitor().attestKey(),
@@ -269,7 +282,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
                 soc.monitor().attestQuote(model_digest, nonce);
             const Status st = verifier.verify(quote, nonce);
             attest_cost[s] = timing.handshakeCycles(
-                templates[s]->encrypted_model->size());
+                templates[s].task->encrypted_model->size());
             if (st.isOk()) {
                 attest[s] = Attest::pending;
                 session_keys[s] = verifier.sessionKey();
@@ -431,7 +444,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         }
         if (tenants[s].task.world == World::secure) {
             const std::uint64_t id =
-                soc.monitor().submit(*templates[s]);
+                soc.monitor().submit(*templates[s].task);
             if (id == 0) { // monitor queue overflow
                 ++ts.rejected;
                 recordReject(s, i, now,
@@ -513,7 +526,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
                         " carries attestation handshake, ",
                         attest_cost[s], " cycles");
         }
-        const Tick monitor_cost = monitorLaunchCost(*templates[s]);
+        const Tick monitor_cost = monitorLaunchCost(*templates[s].task);
         stats_.tenant(s).monitor_cycles +=
             static_cast<double>(monitor_cost);
         tracer.emit(now, TraceCategory::serve, trace_name,

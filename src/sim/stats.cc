@@ -574,10 +574,11 @@ DeltaCapture::begin()
 void
 DeltaCapture::collect(std::vector<StatDelta> &out) const
 {
-    for (const auto &[hash, stat] : in_order) {
+    for (std::size_t i = 0; i < in_order.size(); ++i) {
         StatDelta d;
-        if (stat->captureDelta(d)) {
-            d.path = hash;
+        if (in_order[i].second->captureDelta(d)) {
+            d.path = in_order[i].first;
+            d.index = static_cast<std::uint32_t>(i);
             out.push_back(std::move(d));
         }
     }
@@ -587,6 +588,10 @@ void
 DeltaCapture::apply(const std::vector<StatDelta> &deltas)
 {
     for (const StatDelta &d : deltas) {
+        if (d.index < in_order.size() && in_order[d.index].first == d.path) {
+            in_order[d.index].second->applyDelta(d);
+            continue;
+        }
         const auto it = std::lower_bound(
             by_path.begin(), by_path.end(), d.path,
             [](const auto &entry, std::uint64_t hash) {

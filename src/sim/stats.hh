@@ -42,6 +42,12 @@ struct StatDelta
 {
     /** FNV-1a hash of the dotted path below the capture root. */
     std::uint64_t path = 0;
+    /**
+     * The stat's position in the capturing tree's registration
+     * order: a replay hint, trusted only where the replaying tree
+     * holds a stat with the same path hash at that position.
+     */
+    std::uint32_t index = 0;
     /** 0 = Scalar, 1 = Average, 2 = Histogram. */
     std::uint8_t kind = 0;
     /**
@@ -344,7 +350,10 @@ class Registry
  * dotted path below the root (the path, not the pointer, so a delta
  * captured on one SoC instance replays onto any identically shaped
  * one). begin()/collect() bracket a simulated operation on a miss;
- * apply() replays the collected deltas on a hit.
+ * apply() replays the collected deltas on a hit. Identically shaped
+ * trees register their stats in the same order, so apply() first
+ * tries the delta's recorded position and searches by path only
+ * when the stat there has another path.
  */
 class DeltaCapture
 {
@@ -364,9 +373,12 @@ class DeltaCapture
     static std::uint64_t hashPath(const std::string &path);
 
   private:
-    /** (path hash, stat) sorted by hash for binary-search apply. */
+    /** (path hash, stat) sorted by hash, for replays off position. */
     std::vector<std::pair<std::uint64_t, StatBase *>> by_path;
-    /** Registration-order walk, for deterministic collect order. */
+    /**
+     * Registration-order walk: deterministic collect order, and the
+     * positions deltas record.
+     */
     std::vector<std::pair<std::uint64_t, StatBase *>> in_order;
 };
 

@@ -120,5 +120,42 @@ TEST(Systolic, NullPreloadZeroesWeights)
         EXPECT_EQ(acc[col], 0);
 }
 
+TEST(Systolic, Avx2RowKernelMatchesScalar)
+{
+    // computeRow takes the AVX2 kernel whenever the host has it, so
+    // on such a host only this test runs the scalar kernel against it:
+    // random tiles and rows, every live width k, both modes.
+    const systolic_detail::RowKernel avx2 =
+        systolic_detail::avx2RowKernel();
+    if (!avx2)
+        GTEST_SKIP() << "host has no AVX2";
+    Rng rng(29);
+    for (std::uint32_t dim : {16u, 32u, 64u}) {
+        std::vector<std::int8_t> weights(dim * dim);
+        std::vector<std::int8_t> a(dim);
+        std::vector<std::int32_t> scalar(dim), vector(dim);
+        for (int trial = 0; trial < 200; ++trial) {
+            for (auto &w : weights)
+                w = static_cast<std::int8_t>(rng.range(-128, 127));
+            for (auto &v : a)
+                v = static_cast<std::int8_t>(rng.range(-128, 127));
+            const auto k = static_cast<std::uint32_t>(rng.range(0, dim));
+            const bool accumulate = trial % 2 == 1;
+            for (std::uint32_t c = 0; c < dim; ++c) {
+                scalar[c] = static_cast<std::int32_t>(
+                    rng.range(-(1 << 24), 1 << 24));
+            }
+            vector = scalar;
+            systolic_detail::computeRowScalar(a.data(), k, weights.data(),
+                                              dim, scalar.data(),
+                                              accumulate);
+            avx2(a.data(), k, weights.data(), dim, vector.data(),
+                 accumulate);
+            ASSERT_EQ(scalar, vector)
+                << "dim " << dim << " k " << k << " trial " << trial;
+        }
+    }
+}
+
 } // namespace
 } // namespace snpu

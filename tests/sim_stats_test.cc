@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -328,6 +330,148 @@ TEST(Stats, RegistryDumpsEveryGroup)
     reg.remove(b);
     ASSERT_EQ(reg.groups().size(), 1u);
     EXPECT_EQ(reg.groups()[0], &a);
+}
+
+/**
+ * A small stat tree of every stat kind across three levels. With
+ * @p extra_first it registers one more stat ahead of all the others,
+ * so every registration-order position shifts by one.
+ */
+struct StatTree
+{
+    explicit StatTree(bool extra_first)
+        : extra(extra_first ? std::make_unique<stats::Scalar>(
+                                  root, "extra", "registered first")
+                            : nullptr)
+    {}
+
+    stats::Group root{"soc"};
+    std::unique_ptr<stats::Scalar> extra;
+    stats::Scalar cycles{root, "cycles", "cycles"};
+    stats::Scalar idle{root, "idle", "never changes"};
+    stats::Group core{root, "core0"};
+    stats::Scalar reads{core, "reads", "reads"};
+    stats::Average latency{core, "latency", "latency"};
+    stats::Histogram hist{core, "hist", "hist", 0, 100, 10};
+    stats::Group dma{core, "dma"};
+    stats::Scalar bytes{dma, "bytes", "bytes"};
+    stats::Average burst{dma, "burst", "burst"};
+};
+
+/** Random updates to some of the tree's stats. */
+void
+drive(StatTree &t, std::uint64_t seed, int ops)
+{
+    Rng rng(seed);
+    for (int i = 0; i < ops; ++i) {
+        switch (rng.below(5)) {
+          case 0:
+            t.cycles += static_cast<double>(rng.below(1000));
+            break;
+          case 1:
+            ++t.reads;
+            break;
+          case 2:
+            t.latency.sample(static_cast<double>(rng.below(500)));
+            break;
+          case 3:
+            t.hist.sample(static_cast<double>(rng.range(-20, 130)));
+            break;
+          default:
+            t.bytes += 64;
+            t.burst.sample(static_cast<double>(rng.below(16)));
+            break;
+        }
+    }
+}
+
+std::string
+registryJson(StatTree &t)
+{
+    stats::Registry reg;
+    reg.add(t.root);
+    std::ostringstream os;
+    reg.dumpJson(os);
+    return os.str();
+}
+
+/**
+ * Deltas collected on @p capture_extra's tree shape replay onto the
+ * other shape, whose every position hint is stale: the replay must
+ * equal a path-only replay and a live run of the same operations.
+ */
+void
+checkStaleHintsReplay(bool capture_extra)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        StatTree source(capture_extra);
+        drive(source, seed, 50);
+        stats::DeltaCapture capture(source.root);
+        capture.begin();
+        drive(source, seed + 1000, 80);
+        std::vector<stats::StatDelta> deltas;
+        capture.collect(deltas);
+        ASSERT_FALSE(deltas.empty());
+
+        std::vector<stats::StatDelta> path_only = deltas;
+        for (auto &d : path_only)
+            d.index = std::numeric_limits<std::uint32_t>::max();
+
+        StatTree hinted(!capture_extra);
+        StatTree by_path(!capture_extra);
+        StatTree live(!capture_extra);
+        for (StatTree *t : {&hinted, &by_path, &live})
+            drive(*t, seed, 50);
+        stats::DeltaCapture(hinted.root).apply(deltas);
+        stats::DeltaCapture(by_path.root).apply(path_only);
+        drive(live, seed + 1000, 80);
+
+        const std::string expected = registryJson(live);
+        EXPECT_EQ(registryJson(by_path), expected) << "seed " << seed;
+        EXPECT_EQ(registryJson(hinted), expected) << "seed " << seed;
+    }
+}
+
+TEST(DeltaCapture, StaleIndexHintsFallBackToPath)
+{
+    checkStaleHintsReplay(false);
+}
+
+TEST(DeltaCapture, OutOfRangeIndexHintsFallBackToPath)
+{
+    // Captured on the larger tree: the last stat's position is past
+    // the end of the smaller one, and "extra" never changes, so no
+    // delta names it.
+    checkStaleHintsReplay(true);
+}
+
+TEST(DeltaCapture, MatchingShapeReplaysOntoAnotherInstance)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        StatTree source(false);
+        stats::DeltaCapture capture(source.root);
+        capture.begin();
+        drive(source, seed, 80);
+        std::vector<stats::StatDelta> deltas;
+        capture.collect(deltas);
+
+        StatTree replayed(false);
+        StatTree live(false);
+        drive(replayed, seed + 7, 30);
+        drive(live, seed + 7, 30);
+        stats::DeltaCapture(replayed.root).apply(deltas);
+        drive(live, seed, 80);
+        EXPECT_EQ(registryJson(replayed), registryJson(live))
+            << "seed " << seed;
+    }
+}
+
+TEST(DeltaCapture, UnknownPathPanics)
+{
+    StatTree tree(false);
+    stats::StatDelta d;
+    d.path = stats::DeltaCapture::hashPath("core0.no_such_stat");
+    EXPECT_THROW(stats::DeltaCapture(tree.root).apply({d}), PanicError);
 }
 
 } // namespace

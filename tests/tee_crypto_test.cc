@@ -84,6 +84,128 @@ TEST(Sha256, IncrementalMatchesOneShotAcrossRandomSplits)
     }
 }
 
+TEST(Sha256, KernelsAgreeOnRandomStateAndBlocks)
+{
+    // Both compress kernels against each other, one and several
+    // blocks per call, from random chaining states. Without the SHA
+    // extensions only the portable kernel exists and the NIST
+    // vectors above check it.
+    const sha256_detail::CompressFn shani = sha256_detail::shaNiKernel();
+    if (!shani)
+        GTEST_SKIP() << "host has no SHA extensions";
+    Rng rng(19);
+    for (int trial = 0; trial < 10000; ++trial) {
+        const std::size_t nblocks = trial % 4 == 0 ? 1 + rng.below(4) : 1;
+        std::vector<std::uint8_t> blocks(64 * nblocks);
+        for (auto &b : blocks)
+            b = static_cast<std::uint8_t>(rng.next());
+        std::uint32_t portable[8];
+        for (auto &w : portable)
+            w = static_cast<std::uint32_t>(rng.next());
+        std::uint32_t fast[8];
+        std::memcpy(fast, portable, sizeof(fast));
+        sha256_detail::compressPortable(portable, blocks.data(), nblocks);
+        shani(fast, blocks.data(), nblocks);
+        ASSERT_EQ(std::memcmp(portable, fast, sizeof(fast)), 0)
+            << "trial " << trial;
+    }
+}
+
+TEST(Sha256, NistVectorsAcrossBlockBoundarySplits)
+{
+    // The padding and the direct-from-input block path meet at the
+    // 55/56/63/64/65-byte boundaries: split every vector there and at
+    // random points, and hash inputs of exactly those lengths.
+    struct Vector
+    {
+        std::string msg;
+        const char *hex;
+    };
+    const Vector vectors[] = {
+        {"", "e3b0c44298fc1c149afbf4c8996fb924"
+             "27ae41e4649b934ca495991b7852b855"},
+        {"abc", "ba7816bf8f01cfea414140de5dae2223"
+                "b00361a396177a9cb410ff61f20015ad"},
+        {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+         "248d6a61d20638b8e5c026930c3e6039"
+         "a33ce45964ff2167f6ecedd419db06c1"},
+        {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+         "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+         "cf5b16a778af8380036ce59e7b049237"
+         "0b249b11e8f07a51afac45037afee9d1"},
+    };
+    const std::size_t cuts[] = {0, 55, 56, 63, 64, 65};
+    Rng rng(23);
+    for (const Vector &v : vectors) {
+        const std::vector<std::uint8_t> data(v.msg.begin(), v.msg.end());
+        EXPECT_EQ(Sha256::toHex(Sha256::hash(data)), v.hex);
+        for (std::size_t cut : cuts) {
+            for (int trial = 0; trial < 8; ++trial) {
+                Sha256 ctx;
+                std::size_t off = 0;
+                std::size_t next = std::min(cut, data.size());
+                while (off < data.size()) {
+                    ctx.update(data.data() + off, next - off);
+                    off = next;
+                    next = std::min<std::size_t>(
+                        data.size(), off + rng.below(70));
+                }
+                EXPECT_EQ(Sha256::toHex(ctx.finish()), v.hex)
+                    << "first cut " << cut;
+            }
+        }
+    }
+
+    // Lengths at every padding boundary: one-shot, byte by byte and
+    // across a random split must all agree with the portable kernel
+    // driven by hand.
+    for (std::size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
+        std::vector<std::uint8_t> data(len);
+        for (auto &b : data)
+            b = static_cast<std::uint8_t>(rng.next());
+        std::vector<std::uint8_t> padded(data);
+        padded.push_back(0x80);
+        while (padded.size() % 64 != 56)
+            padded.push_back(0);
+        for (int i = 7; i >= 0; --i)
+            padded.push_back(static_cast<std::uint8_t>((len * 8) >> (8 * i)));
+        std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                  0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                  0x1f83d9ab, 0x5be0cd19};
+        sha256_detail::compressPortable(state, padded.data(),
+                                        padded.size() / 64);
+        Digest expected;
+        for (int i = 0; i < 8; ++i) {
+            for (int j = 0; j < 4; ++j) {
+                expected[4 * i + j] =
+                    static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+            }
+        }
+
+        EXPECT_EQ(Sha256::hash(data), expected) << "len " << len;
+        Sha256 bytewise;
+        for (std::uint8_t b : data)
+            bytewise.update(&b, 1);
+        EXPECT_EQ(bytewise.finish(), expected) << "len " << len;
+        const std::size_t split = rng.below(len + 1);
+        Sha256 two;
+        two.update(data.data(), split);
+        two.update(data.data() + split, len - split);
+        EXPECT_EQ(two.finish(), expected) << "len " << len;
+    }
+}
+
+TEST(Sha256, NullEmptyUpdateIsANoOp)
+{
+    Sha256 ctx;
+    ctx.update("ab", 2);
+    ctx.update(nullptr, 0);
+    ctx.update("c", 1);
+    EXPECT_EQ(Sha256::toHex(ctx.finish()),
+              "ba7816bf8f01cfea414140de5dae2223"
+              "b00361a396177a9cb410ff61f20015ad");
+}
+
 TEST(Sha256, FinishTwicePanics)
 {
     Sha256 ctx;
